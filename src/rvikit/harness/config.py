@@ -123,8 +123,6 @@ class ExperimentConfig:
     instruments: tuple[str, ...] | None = None
     holonomy_probes: bool = False
     init_radius_frac: float = 0.9
-    workers: int = 1
-    validators: ValidatorSpec | None = None
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -190,12 +188,12 @@ class ExperimentConfig:
             instruments = tuple(instruments)
         frac = float(mapping.get("init_radius_frac", 0.9))
         _require(0.0 < frac <= 1.0, "init_radius_frac must lie in (0, 1]")
+        # accepted for existing config files; cells always run in order
         workers = mapping.get("workers", 1)
         _require(isinstance(workers, int) and workers >= 1,
                  "workers must be an integer >= 1")
-        validators = mapping.get("validators")
-        if validators is not None:
-            validators = ValidatorSpec.from_mapping(validators)
+        if mapping.get("validators") is not None:
+            ValidatorSpec.from_mapping(mapping["validators"])
 
         return cls(problem_name=name, problem_params=dict(params),
                    methods=tuple(methods), etas=etas, T=T,
@@ -203,8 +201,7 @@ class ExperimentConfig:
                    output_dir=Path(mapping.get("output_dir", "out")),
                    record_every=record_every, gaps=gaps,
                    instruments=instruments, holonomy_probes=holonomy,
-                   init_radius_frac=frac, workers=workers,
-                   validators=validators)
+                   init_radius_frac=frac)
 
 
 def parse_mapping(mapping: dict, overrides=None) -> ExperimentConfig:

@@ -1,14 +1,14 @@
 """Grid execution: many (method, eta, seed) runs plus validator sweeps.
 
-Each grid cell is an independent run writing its own CSV; the coordinator
-assembles one JSON summary afterwards.  Output content is a pure function
-of the configuration (seeds included, timestamps excluded), so reruns
-reproduce files byte for byte.
+The problem and its geometry bounds are built once per grid; the cells
+then run in order over that one instance, each writing its own CSV, and
+one JSON summary is assembled afterwards.  Output content is a pure
+function of the configuration (seeds included, timestamps excluded), so
+reruns reproduce files byte for byte.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import DomainError, SolverAbort
+from ..geometry.constants import GeometryBounds
 from ..geometry.probes import CHECKS, run_sweep, write_sweep_csv
-from ..problems import make_problem, manifold_from_spec
+from ..problems import VectorFieldProblem, make_problem, manifold_from_spec
 from ..solvers import RunTrace, SolverConfig, run
 from .config import ExperimentConfig, ValidatorSpec
 from .rates import default_burn_in, fit_rate
@@ -64,10 +65,10 @@ def _rate_fits(trace: RunTrace) -> dict:
     return fits
 
 
-def _execute_cell(cfg: ExperimentConfig, method: str, eta, seed: int,
+def _execute_cell(cfg: ExperimentConfig, prob: VectorFieldProblem,
+                  bounds: GeometryBounds, method: str, eta, seed: int,
                   out_dir: Path) -> tuple[str, dict, Path]:
-    """One grid cell: build the problem, run, write the CSV, summarize."""
-    prob = make_problem(cfg.problem_name, **cfg.problem_params)
+    """One grid cell: run on the shared problem, write the CSV, summarize."""
     solver_cfg = SolverConfig(
         method=method, T=cfg.T, eta=eta, record_every=cfg.record_every,
         seed=seed, instruments=cfg.instruments, gaps=cfg.gaps,
@@ -76,7 +77,7 @@ def _execute_cell(cfg: ExperimentConfig, method: str, eta, seed: int,
     aborted = False
     abort_reason = ""
     try:
-        trace = run(prob, solver_cfg)
+        trace = run(prob, solver_cfg, bounds=bounds)
     except SolverAbort as exc:
         trace = exc.trace
         aborted = True
@@ -108,21 +109,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cells = [(method, eta, seed)
              for method in cfg.methods for eta in etas for seed in cfg.seeds]
 
+    prob = make_problem(cfg.problem_name, **cfg.problem_params)
+    bounds = prob.bounds()
     results: dict[str, dict] = {}
     csv_paths: list[Path] = []
-    if cfg.workers > 1 and len(cells) > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
-            futures = [pool.submit(_execute_cell, cfg, m, e, s, out_dir)
-                       for (m, e, s) in cells]
-            for fut in futures:
-                key, entry, path = fut.result()
-                results[key] = entry
-                csv_paths.append(path)
-    else:
-        for m, e, s in cells:
-            key, entry, path = _execute_cell(cfg, m, e, s, out_dir)
-            results[key] = entry
-            csv_paths.append(path)
+    for m, e, s in cells:
+        key, entry, path = _execute_cell(cfg, prob, bounds, m, e, s, out_dir)
+        results[key] = entry
+        csv_paths.append(path)
 
     totals: dict[str, int] = {}
     aborted_runs = 0

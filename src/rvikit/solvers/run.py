@@ -204,6 +204,7 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         raise ConfigError("record_every must be >= 1")
 
     instruments = config.resolved_instruments()
+    evals0 = prob.evals
     if bounds is None:
         bounds = prob.bounds()
     eta = auto_eta(config.method, bounds) if config.eta == "auto" else float(config.eta)
@@ -276,7 +277,7 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
                 trace.aborted = True
                 trace.abort_reason = f"non-finite iterate at t={t}"
                 trace.violations = viol
-                trace.field_evals = prob.evals
+                trace.field_evals = prob.evals - evals0
                 trace.final = z_prev
                 raise SolverAbort(trace.abort_reason, trace)
 
@@ -360,12 +361,12 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         trace.aborted = True
         trace.abort_reason = str(err)
         trace.violations = viol
-        trace.field_evals = prob.evals
+        trace.field_evals = prob.evals - evals0
         raise SolverAbort(f"{config.method} aborted at t={t}: {err}", trace) from err
 
     trace.violations = viol
     trace.final = z
     trace.final_half = tilde_prev
     trace.average = average.mean
-    trace.field_evals = prob.evals
+    trace.field_evals = prob.evals - evals0
     return trace

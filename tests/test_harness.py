@@ -120,7 +120,6 @@ def test_minimal_config_defaults():
     assert cfg.etas == "auto"
     assert cfg.T == 1000
     assert cfg.seeds == (0,)
-    assert cfg.workers == 1
 
 
 @pytest.mark.parametrize("broken,needle", [
@@ -137,11 +136,14 @@ def test_minimal_config_defaults():
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "workers": 0}, "workers"),
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "validators": {"probes": 1}}, "validators.manifolds"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "bogus_key": 1}, "bogus_key"),
     ({"problem": {"name": "euclidean_bilinear", "extra": 1},
       "methods": ["REG"]}, "extra"),
 ], ids=["empty", "unknown-problem", "no-methods", "unknown-method",
         "negative-eta", "zero-T", "zero-record", "zero-workers",
+        "malformed-validators",
         "unknown-key", "unknown-problem-key"])
 def test_config_validation_errors(broken, needle):
     with pytest.raises(ConfigError) as err:
@@ -236,14 +238,29 @@ def test_rerun_reproduces_bytes(tmp_path):
 
 
 def test_parallel_workers_match_serial_output(tmp_path):
-    serial = parse_mapping(_grid_mapping(tmp_path / "s", T=30))
-    threaded = parse_mapping(_grid_mapping(tmp_path / "p", T=30, workers=3))
-    res_s, res_t = run_experiment(serial), run_experiment(threaded)
-    for ps, pt in zip(sorted(res_s.csv_paths), sorted(res_t.csv_paths)):
-        assert ps.read_bytes() == pt.read_bytes(), ps.name
-    # summaries differ only in the worker-independent content (both sorted)
+    plain = parse_mapping(_grid_mapping(tmp_path / "s", T=30))
+    legacy = parse_mapping(_grid_mapping(tmp_path / "p", T=30, workers=3))
+    res_s, res_w = run_experiment(plain), run_experiment(legacy)
+    assert len(res_s.csv_paths) == len(res_w.csv_paths) == 6
+    for ps, pw in zip(sorted(res_s.csv_paths), sorted(res_w.csv_paths)):
+        assert ps.read_bytes() == pw.read_bytes(), ps.name
     assert (json.loads(res_s.summary_path.read_text())["runs"]
-            == json.loads(res_t.summary_path.read_text())["runs"])
+            == json.loads(res_w.summary_path.read_text())["runs"])
+
+
+def test_grid_builds_the_problem_once(tmp_path, monkeypatch):
+    from rvikit.harness import runner
+
+    calls = []
+
+    def counting_make_problem(*args, **kwargs):
+        calls.append(args)
+        return make_problem(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_problem", counting_make_problem)
+    result = run_experiment(parse_mapping(_grid_mapping(tmp_path, T=10)))
+    assert len(result.summary["runs"]) == 6  # {REG, RPEG} x 3 seeds
+    assert len(calls) == 1
 
 
 def test_violations_yield_exit_code_two(tmp_path):

@@ -252,11 +252,16 @@ def test_record_schedule_and_sorted_t():
 def test_rpeg_uses_one_field_evaluation_per_iteration():
     prob = make_problem("decoupled_saddle", manifold="h2*h2")
     T = 40
+    config = SolverConfig(method="RPEG", T=T, record_every=10 ** 6,
+                          instruments=frozenset())
     before = prob.evals                     # construction-gate evaluations
-    run(prob, SolverConfig(method="RPEG", T=T, record_every=10 ** 6,
-                           instruments=frozenset()))
+    trace = run(prob, config)
     # one warm-up eval, one per iteration, one for the final record
     assert prob.evals - before == T + 2
+    assert trace.field_evals == T + 2
+    # a second run on the same problem counts only its own evaluations
+    again = run(prob, config)
+    assert again.field_evals == T + 2
 
 
 def test_reg_run_zero_violations_on_flat_bilinear():
