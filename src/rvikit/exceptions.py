@@ -36,9 +36,11 @@ class CertificateError(RvikitError, AssertionError):
 
 
 class SolverAbort(RvikitError, RuntimeError):
-    """A solver run stopped early (non-finite iterate or geometry failure).
+    """A solver run stopped early on a geometry failure.
 
-    Carries the partial trace when available.
+    A non-finite iterate is one such failure: the Point/Tangent contract
+    rejects non-finite coordinates when the iterate is built.  Carries the
+    partial trace when available.
     """
 
     def __init__(self, message, trace=None):

@@ -17,7 +17,7 @@ import yaml
 from ..exceptions import ConfigError
 from ..geometry.probes import CHECKS
 from ..problems import list_problems
-from ..solvers import METHODS
+from ..solvers import INSTRUMENTS, METHODS
 
 __all__ = ["ExperimentConfig", "ValidatorSpec", "load_config_file",
            "apply_overrides", "parse_mapping"]
@@ -185,6 +185,9 @@ class ExperimentConfig:
                 instruments = [instruments]
             _require(isinstance(instruments, (list, tuple)),
                      "instruments must be a list of instrument names")
+            bad = [i for i in instruments if i not in INSTRUMENTS]
+            _require(not bad, f"unknown instruments {bad}; "
+                              f"valid instruments: {list(INSTRUMENTS)}")
             instruments = tuple(instruments)
         frac = float(mapping.get("init_radius_frac", 0.9))
         _require(0.0 < frac <= 1.0, "init_radius_frac must lie in (0, 1]")

@@ -74,14 +74,10 @@ def _execute_cell(cfg: ExperimentConfig, prob: VectorFieldProblem,
         seed=seed, instruments=cfg.instruments, gaps=cfg.gaps,
         holonomy_probes=cfg.holonomy_probes,
         init_radius_frac=cfg.init_radius_frac)
-    aborted = False
-    abort_reason = ""
     try:
         trace = run(prob, solver_cfg, bounds=bounds)
     except SolverAbort as exc:
         trace = exc.trace
-        aborted = True
-        abort_reason = str(exc)
         if trace is None:
             raise
     key = _run_key(method, eta, seed)
@@ -90,9 +86,6 @@ def _execute_cell(cfg: ExperimentConfig, prob: VectorFieldProblem,
     entry = trace.summary()
     entry["eta_requested"] = _eta_label(eta)
     entry["csv"] = csv_path.name
-    entry["aborted"] = aborted
-    if aborted:
-        entry["abort_reason"] = abort_reason
     entry["rates"] = _rate_fits(trace)
     return key, entry, csv_path
 

@@ -213,8 +213,3 @@ class Tangent:
     def __repr__(self) -> str:
         return (f"Tangent(base={np.array2string(self.base.coords, precision=4)}, "
                 f"{np.array2string(self.components, precision=6)})")
-
-
-def require_same_base(a: Tangent, b: Tangent, what: str = "operation") -> None:
-    if not a.base.same_base(b.base):
-        raise ContractViolation(f"{what} requires tangents at the same base point")

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..exceptions import ContractViolation
+from ..exceptions import ConfigError, ContractViolation
 from ..geometry.constants import GeometryBounds, derive_bounds
 from ..manifolds import ops
 from ..manifolds.base import Manifold, Point, Tangent
@@ -122,26 +122,20 @@ class VectorFieldProblem:
                     f">= {SOLUTION_TOL:g}")
 
     # -- geometry plumbing ------------------------------------------------
-    def bounds(self, L: float | None = None, G: float | None = None,
-               inflate_estimated: float = 1.1,
-               rng: np.random.Generator | None = None) -> GeometryBounds:
-        """Assemble :class:`GeometryBounds` for this problem's region.
+    def bounds(self) -> GeometryBounds:
+        """Assemble :class:`GeometryBounds` from the declared L and G.
 
-        Declared L/G are used verbatim; missing values are estimated by
-        sampling and inflated by ``inflate_estimated`` as a safety margin.
+        Certified step sizes need both constants, so a problem that does
+        not declare ``lipschitz`` or ``grad_bound`` is a :class:`ConfigError`.
         """
-        L = L if L is not None else self.lipschitz
-        G = G if G is not None else self.grad_bound
-        if L is None or G is None:
-            rep = check_assumptions(self, n_pairs=200,
-                                    rng=rng or np.random.default_rng(0))
-            if L is None:
-                L = rep.lipschitz_estimate * inflate_estimated
-            if G is None:
-                G = rep.grad_norm_max * inflate_estimated
+        missing = [name for name in ("lipschitz", "grad_bound")
+                   if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{self.name}: bounds need declared "
+                              f"{' and '.join(missing)}")
         m = self.manifold
         return derive_bounds(m.curvature_lo, m.curvature_hi,
-                             self.region_radius, L, G)
+                             self.region_radius, self.lipschitz, self.grad_bound)
 
 
 @dataclass(frozen=True)

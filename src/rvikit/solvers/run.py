@@ -4,7 +4,14 @@ The driver owns all bookkeeping the step functions don't: step-size
 selection from curvature bounds, per-iteration guarantee checks
 (norm monotonicity, Lyapunov descent, trajectory boundedness, optional
 holonomy probes), the running geodesic average of exploratory iterates,
-and the fixed-schema trace records.
+and the fixed-schema trace records.  One table maps each method to its
+certified step size and its default instruments.
+
+Every record reuses the F(z_t) it already evaluated: ``op_norm`` is its
+norm and ``hamiltonian`` its squared norm.  A run either returns its
+trace or raises :class:`SolverAbort` carrying the same trace, marked
+aborted; both ways the trace holds the live violation counters and the
+run's own field-evaluation count.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from ..geometry.constants import (
 from ..geometry.probes import RESIDUAL_TOL, holonomy_defect
 from ..manifolds import ops
 from ..manifolds.base import Point
-from ..problems.core import VectorFieldProblem, duality_gap, hamiltonian, split_saddle
-from .steps import METHODS, reg_step, rceg_step, rgda_step, rogda_step, rpeg_step
+from ..problems.core import VectorFieldProblem, duality_gap
+from .steps import reg_step, rceg_step, rgda_step, rogda_step, rpeg_step
 
 INSTRUMENT_TOL = 1e-10
 
@@ -38,13 +45,18 @@ FLAG_LYAPUNOV = 2
 FLAG_BOUNDED = 4
 FLAG_HOLONOMY = 8
 
-_DEFAULT_INSTRUMENTS = {
-    "REG": frozenset({"norm_monotone", "boundedness"}),
-    "RPEG": frozenset({"lyapunov", "boundedness"}),
-    "RCEG": frozenset({"boundedness"}),
-    "ROGDA": frozenset(),
-    "RGDA": frozenset(),
+# guarantee checks a run can switch on; holonomy probes have their own flag
+INSTRUMENTS = ("norm_monotone", "lyapunov", "boundedness")
+
+# method -> (certified step size, default instruments)
+_METHOD_TABLE = {
+    "REG": (step_size_reg, frozenset({"norm_monotone", "boundedness"})),
+    "RPEG": (step_size_rpeg, frozenset({"lyapunov", "boundedness"})),
+    "RCEG": (step_size_rceg, frozenset({"boundedness"})),
+    "ROGDA": (step_size_rpeg, frozenset()),
+    "RGDA": (step_size_reg, frozenset()),
 }
+METHODS = tuple(_METHOD_TABLE)
 
 CSV_COLUMNS = ["t", "dist", "op_norm", "op_norm_half", "hamiltonian",
                "gap_last", "gap_avg", "phi", "violation_flags"]
@@ -67,7 +79,7 @@ class SolverConfig:
     def resolved_instruments(self) -> frozenset:
         if self.instruments is not None:
             return frozenset(self.instruments)
-        return _DEFAULT_INSTRUMENTS[self.method]
+        return _METHOD_TABLE[self.method][1]
 
 
 @dataclass
@@ -164,13 +176,10 @@ class RunTrace:
 
 
 def auto_eta(method: str, bounds: GeometryBounds) -> float:
-    if method in ("REG", "RGDA"):
-        return step_size_reg(bounds)
-    if method in ("RPEG", "ROGDA"):
-        return step_size_rpeg(bounds)
-    if method == "RCEG":
-        return step_size_rceg(bounds)
-    raise ConfigError(f"unknown method {method!r}")
+    """The certified step size of ``method`` under ``bounds``."""
+    if method not in _METHOD_TABLE:
+        raise ConfigError(f"unknown method {method!r}")
+    return _METHOD_TABLE[method][0](bounds)
 
 
 def initial_point(prob: VectorFieldProblem, config: SolverConfig) -> Point:
@@ -191,9 +200,9 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         bounds: GeometryBounds | None = None) -> RunTrace:
     """Run ``config.method`` on ``prob`` and return the instrumented trace.
 
-    Geometry failures mid-run raise :class:`SolverAbort` with the partial
-    trace attached; guarantee violations never raise, they are counted
-    and flagged in the records.
+    Geometry failures mid-run, non-finite iterates among them, raise
+    :class:`SolverAbort` with the partial trace attached; guarantee
+    violations never raise, they are counted and flagged in the records.
     """
     if config.method not in METHODS:
         raise ConfigError(
@@ -204,6 +213,10 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         raise ConfigError("record_every must be >= 1")
 
     instruments = config.resolved_instruments()
+    unknown = sorted(instruments - set(INSTRUMENTS))
+    if unknown:
+        raise ConfigError(f"unknown instruments {unknown}; "
+                          f"valid instruments: {list(INSTRUMENTS)}")
     evals0 = prob.evals
     if bounds is None:
         bounds = prob.bounds()
@@ -223,12 +236,12 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
                 f"D = {prob.region_radius:.6f}")
 
     lam = bounds.sigma_bar / 16.0
+    viol = {"norm_monotone": 0, "lyapunov": 0, "boundedness": 0, "holonomy": 0}
     trace = RunTrace(
         problem=prob.name, method=config.method, eta=eta, T=config.T,
-        seed=config.seed, bounds=bounds,
+        seed=config.seed, violations=viol, bounds=bounds,
         lyapunov_lambda=(lam if "lyapunov" in instruments else None),
         rho=rho_coefficient(bounds, eta))
-    viol = {"norm_monotone": 0, "lyapunov": 0, "boundedness": 0, "holonomy": 0}
 
     gap_radius = math.sqrt(2.0) * prob.region_radius / 2.0
     do_gaps = config.gaps and prob.objective is not None and sol is not None
@@ -273,14 +286,6 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
                 z_new = rgda_step(prob, z, eta, f_z=f_curr, cache=cache)
                 z_tilde = z_new
 
-            if not np.all(np.isfinite(z_new.coords)):
-                trace.aborted = True
-                trace.abort_reason = f"non-finite iterate at t={t}"
-                trace.violations = viol
-                trace.field_evals = prob.evals - evals0
-                trace.final = z_prev
-                raise SolverAbort(trace.abort_reason, trace)
-
             recording = (t % config.record_every == 0) or (t == config.T)
             f_new = None
             if needs_f_each_step or recording:
@@ -288,24 +293,23 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
 
             flags = 0
             # ---- guarantee instrumentation ---------------------------------
-            if "norm_monotone" in instruments and f_new is not None:
+            if "norm_monotone" in instruments:
                 if f_new.norm() > f_curr.norm() + INSTRUMENT_TOL:
                     viol["norm_monotone"] += 1
                     flags |= FLAG_NORM
 
             phi_t = None
-            if "lyapunov" in instruments and f_new is not None and sol is not None:
-                stale = ops.transport(z_tilde, z_new, cache["f_tilde"]) \
-                    if config.method == "RPEG" else None
-                if stale is not None:
-                    drift = (f_new - stale).norm()
-                    phi_t = (ops.distance(z_new, sol) ** 2
-                             + lam * t * eta ** 2
-                             * (f_new.norm() ** 2 + 2.0 * drift ** 2))
-                    if phi_prev is not None and phi_t > phi_prev + INSTRUMENT_TOL:
-                        viol["lyapunov"] += 1
-                        flags |= FLAG_LYAPUNOV
-                    phi_prev = phi_t
+            if ("lyapunov" in instruments and sol is not None
+                    and config.method == "RPEG"):
+                stale = ops.transport(z_tilde, z_new, cache["f_tilde"])
+                drift = (f_new - stale).norm()
+                phi_t = (ops.distance(z_new, sol) ** 2
+                         + lam * t * eta ** 2
+                         * (f_new.norm() ** 2 + 2.0 * drift ** 2))
+                if phi_prev is not None and phi_t > phi_prev + INSTRUMENT_TOL:
+                    viol["lyapunov"] += 1
+                    flags |= FLAG_LYAPUNOV
+                phi_prev = phi_t
 
             if "boundedness" in instruments and sol is not None:
                 # half iterates sit one eta*||F|| <= eta*G step off the main ones
@@ -329,23 +333,18 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
             average = ops.geodesic_average_update(average, z_tilde)
 
             if recording:
-                rec = IterateRecord(t=t, violation_flags=flags)
+                op_norm = f_new.norm()
+                rec = IterateRecord(t=t, op_norm=op_norm,
+                                    hamiltonian=op_norm ** 2,
+                                    phi=phi_t, violation_flags=flags)
                 if sol is not None:
                     rec.dist = ops.distance(z_new, sol)
-                if f_new is not None:
-                    rec.op_norm = f_new.norm()
                 if config.method in ("REG", "RPEG", "RCEG"):
                     rec.op_norm_half = cache["f_tilde"].norm()
-                if prob.objective is not None:
-                    xx, yy = split_saddle(z_new)
-                    rec.hamiltonian = hamiltonian(prob.objective, xx, yy)
-                elif f_new is not None:
-                    rec.hamiltonian = f_new.norm() ** 2
                 if do_gaps:
                     rec.gap_last = gap_at(z_new)
                     if average.mean is not None:
                         rec.gap_avg = gap_at(average.mean)
-                rec.phi = phi_t
                 trace.records.append(rec)
 
             # ---- roll state -------------------------------------------------
@@ -355,18 +354,14 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
                 f_new = prob.field(z_new)
             if f_new is not None:
                 f_curr = f_new
-    except SolverAbort:
-        raise
     except RvikitError as err:
         trace.aborted = True
-        trace.abort_reason = str(err)
-        trace.violations = viol
+        trace.abort_reason = f"{config.method} aborted at t={t}: {err}"
+        raise SolverAbort(trace.abort_reason, trace) from err
+    finally:
         trace.field_evals = prob.evals - evals0
-        raise SolverAbort(f"{config.method} aborted at t={t}: {err}", trace) from err
 
-    trace.violations = viol
     trace.final = z
     trace.final_half = tilde_prev
     trace.average = average.mean
-    trace.field_evals = prob.evals - evals0
     return trace

@@ -15,8 +15,7 @@ from ..manifolds import ops
 from ..manifolds.base import Point, Tangent
 from ..problems.core import VectorFieldProblem
 
-__all__ = ["reg_step", "rpeg_step", "rceg_step", "rogda_step", "rgda_step",
-           "METHODS"]
+__all__ = ["reg_step", "rpeg_step", "rceg_step", "rogda_step", "rgda_step"]
 
 
 def reg_step(prob: VectorFieldProblem, z: Point, eta: float,
@@ -99,6 +98,3 @@ def rgda_step(prob: VectorFieldProblem, z: Point, eta: float,
     if cache is not None:
         cache.update(f_z=f_z)
     return z_next
-
-
-METHODS = ("REG", "RPEG", "RCEG", "ROGDA", "RGDA")

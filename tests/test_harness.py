@@ -136,6 +136,8 @@ def test_minimal_config_defaults():
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "workers": 0}, "workers"),
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "instruments": ["norm_monotne"]}, "valid instruments"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "validators": {"probes": 1}}, "validators.manifolds"),
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "bogus_key": 1}, "bogus_key"),
@@ -143,6 +145,7 @@ def test_minimal_config_defaults():
       "methods": ["REG"]}, "extra"),
 ], ids=["empty", "unknown-problem", "no-methods", "unknown-method",
         "negative-eta", "zero-T", "zero-record", "zero-workers",
+        "unknown-instrument",
         "malformed-validators",
         "unknown-key", "unknown-problem-key"])
 def test_config_validation_errors(broken, needle):

@@ -329,6 +329,16 @@ def test_declared_bounds_flow_into_geometry_bounds():
     assert (b.kappa, b.K) == (0.0, 0.0)
 
 
+def test_bounds_require_declared_constants():
+    origin = Point(Product(Euclidean(1), Euclidean(1)), [0.0, 0.0])
+    prob = saddle_to_field(_scalar_bilinear(), solution=origin, lipschitz=1.0)
+    with pytest.raises(ConfigError, match="grad_bound"):
+        prob.bounds()
+    prob = saddle_to_field(_scalar_bilinear(), solution=origin)
+    with pytest.raises(ConfigError, match="lipschitz and grad_bound"):
+        prob.bounds()
+
+
 def test_field_evaluations_are_counted():
     prob = make_problem("euclidean_bilinear", dim=4)
     before = prob.evals

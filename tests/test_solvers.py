@@ -296,7 +296,8 @@ def test_gap_recording_on_saddle_problem():
     for rec in trace.records:
         assert rec.gap_last is not None and rec.gap_last >= 0.0
         assert rec.gap_avg is not None and rec.gap_avg >= 0.0
-        assert rec.hamiltonian is not None
+        # the Hamiltonian is read off the field evaluated for op_norm
+        assert rec.hamiltonian == rec.op_norm ** 2
     # gaps shrink toward the saddle over the run
     assert trace.records[-1].gap_last < trace.records[0].gap_last
 
@@ -365,6 +366,8 @@ def test_run_config_validation():
         run(prob, SolverConfig(T=10, eta=-0.1))
     with pytest.raises(ConfigError):
         run(prob, SolverConfig(T=10, record_every=0))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, instruments=frozenset({"norm_monotne"})))
 
 
 def test_run_rejects_out_of_region_start_when_instrumented():
@@ -391,8 +394,25 @@ def test_solver_abort_carries_partial_trace():
     trace = err.value.trace
     assert trace is not None
     assert trace.aborted
-    assert trace.abort_reason != ""
+    assert trace.abort_reason == str(err.value)
     assert trace.field_evals >= 1
+
+
+def test_overflowing_iterate_aborts_with_full_trace():
+    m = Euclidean(2)
+    prob = VectorFieldProblem(
+        name="blowup", manifold=m,
+        field=lambda z: Tangent(z, np.full(2, 1e300)),
+        solution=None, region_radius=1.0, lipschitz=1.0, grad_bound=1.0)
+    with pytest.raises(SolverAbort) as err:
+        run(prob, SolverConfig(method="RGDA", T=5, eta=1e10),
+            z0=Point(m, [0.0, 0.0]))
+    trace = err.value.trace
+    assert trace.aborted
+    assert "finite" in trace.abort_reason
+    assert trace.field_evals == 1           # F(z_0) only; the step overflows
+    assert trace.violations == {"norm_monotone": 0, "lyapunov": 0,
+                                "boundedness": 0, "holonomy": 0}
 
 
 def test_trace_metric_extraction():
