@@ -38,9 +38,9 @@ class CertificateError(RvikitError, AssertionError):
 class SolverAbort(RvikitError, RuntimeError):
     """A solver run stopped early on a geometry failure.
 
-    A non-finite iterate is one such failure: the Point/Tangent contract
-    rejects non-finite coordinates when the iterate is built.  Carries the
-    partial trace when available.
+    Non-finite numbers are such failures: Point/Tangent reject non-finite
+    coordinates when built, and an overflowing norm or distance raises.
+    Carries the partial trace when available.
     """
 
     def __init__(self, message, trace=None):
@@ -50,3 +50,9 @@ class SolverAbort(RvikitError, RuntimeError):
 
 class ConfigError(RvikitError, ValueError):
     """An experiment configuration failed validation."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise :class:`ConfigError` with ``message`` unless ``condition`` holds."""
+    if not condition:
+        raise ConfigError(message)

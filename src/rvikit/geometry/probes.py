@@ -20,7 +20,7 @@ import numpy as np
 
 from ..manifolds.base import Manifold, Point, Tangent
 from ..manifolds import ops
-from .constants import jacobi_ratio, sigma, zeta
+from .constants import sigma, zeta
 
 RESIDUAL_TOL = -1e-9
 

@@ -1,23 +1,26 @@
 """Declarative experiment configuration.
 
 A config is one YAML mapping describing a problem, a solver grid
-(methods x etas x seeds), trace options, and an optional geometry-validator
-sweep.  Command-line overrides address individual keys with dotted paths
-(``--set grid.T=1000``-style ``key=value`` pairs, values parsed as YAML).
+(methods x etas x seeds), and an optional geometry-validator sweep.  Keys
+named after :class:`~rvikit.solvers.SolverConfig` fields pass straight
+through to it, and it alone judges whether a setting is valid; this module
+only turns outside input into values.  Command-line overrides address
+individual keys with dotted paths (``--set grid.T=1000``-style
+``key=value`` pairs, values parsed as YAML).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
-from ..exceptions import ConfigError
+from ..exceptions import ConfigError, require as _require
 from ..geometry.probes import CHECKS
 from ..problems import list_problems
-from ..solvers import INSTRUMENTS, METHODS
+from ..solvers import SolverConfig
 
 __all__ = ["ExperimentConfig", "ValidatorSpec", "load_config_file",
            "apply_overrides", "parse_mapping"]
@@ -64,11 +67,6 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     return out
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
 @dataclass(frozen=True)
 class ValidatorSpec:
     """Geometry-validator sweep request: which manifolds, which checks, how many."""
@@ -107,30 +105,34 @@ class ValidatorSpec:
                    checks=tuple(checks), probes=probes, seed=seed, leg=leg)
 
 
+# config keys passed through to SolverConfig; the grid axes fill the rest
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"method", "eta", "seed"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full run request: problem, solver grid, trace options, output paths."""
+    """A problem plus a methods x etas x seeds grid over the ``solver`` template."""
 
     problem_name: str
     problem_params: dict = field(default_factory=dict)
     methods: tuple[str, ...] = ("REG",)
     etas: tuple[float, ...] | str = "auto"
-    T: int = 1000
     seeds: tuple[int, ...] = (0,)
     output_dir: Path = Path("out")
-    record_every: int = 1
-    gaps: bool = False
-    instruments: tuple[str, ...] | None = None
-    holonomy_probes: bool = False
-    init_radius_frac: float = 0.9
+    solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def cells(self) -> list[SolverConfig]:
+        """One validated SolverConfig per grid cell, in method, eta, seed order."""
+        etas = ("auto",) if self.etas == "auto" else self.etas
+        return [replace(self.solver, method=m, eta=e, seed=s)
+                for m in self.methods for e in etas for s in self.seeds]
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         if not isinstance(mapping, dict):
             raise ConfigError("config root must be a mapping")
-        known = {"problem", "methods", "etas", "T", "seeds", "output_dir",
-                 "record_every", "gaps", "instruments", "holonomy_probes",
-                 "init_radius_frac", "workers", "validators"}
+        known = {"problem", "methods", "etas", "seeds", "output_dir",
+                 "workers", "validators"} | _SOLVER_KEYS
         unknown = set(mapping) - known
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
@@ -150,8 +152,6 @@ class ExperimentConfig:
             methods = [methods]
         _require(isinstance(methods, (list, tuple)) and len(methods) > 0,
                  "methods must be a nonempty list")
-        bad = [m for m in methods if m not in METHODS]
-        _require(not bad, f"unknown methods {bad}; valid methods: {list(METHODS)}")
 
         etas = mapping.get("etas", "auto")
         if etas != "auto":
@@ -159,38 +159,21 @@ class ExperimentConfig:
                 etas = [etas]
             _require(isinstance(etas, (list, tuple)) and len(etas) > 0,
                      "etas must be 'auto' or a nonempty list of step sizes")
-            parsed = []
-            for e in etas:
-                e = float(e)
-                _require(e > 0, "step sizes must be positive")
-                parsed.append(e)
-            etas = tuple(parsed)
+            try:
+                etas = tuple(float(e) for e in etas)
+            except (TypeError, ValueError):
+                raise ConfigError(f"etas must be numbers, got {etas!r}") from None
 
-        T = mapping.get("T", 1000)
-        _require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
         seeds = mapping.get("seeds", [0])
         if isinstance(seeds, int):
             seeds = [seeds]
+        # a None seed draws from OS entropy, and reruns must reproduce bytes
         _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0
-                 and all(isinstance(s, int) for s in seeds),
-                 "seeds must be a nonempty list of integers")
-        record_every = mapping.get("record_every", 1)
-        _require(isinstance(record_every, int) and record_every >= 1,
-                 "record_every must be an integer >= 1")
-        gaps = bool(mapping.get("gaps", False))
-        holonomy = bool(mapping.get("holonomy_probes", False))
-        instruments = mapping.get("instruments")
-        if instruments is not None:
-            if isinstance(instruments, str):
-                instruments = [instruments]
-            _require(isinstance(instruments, (list, tuple)),
-                     "instruments must be a list of instrument names")
-            bad = [i for i in instruments if i not in INSTRUMENTS]
-            _require(not bad, f"unknown instruments {bad}; "
-                              f"valid instruments: {list(INSTRUMENTS)}")
-            instruments = tuple(instruments)
-        frac = float(mapping.get("init_radius_frac", 0.9))
-        _require(0.0 < frac <= 1.0, "init_radius_frac must lie in (0, 1]")
+                 and None not in seeds, "seeds must be a nonempty list of integers")
+
+        settings = {k: mapping[k] for k in _SOLVER_KEYS & set(mapping)}
+        if isinstance(settings.get("instruments"), str):
+            settings["instruments"] = [settings["instruments"]]
         # accepted for existing config files; cells always run in order
         workers = mapping.get("workers", 1)
         _require(isinstance(workers, int) and workers >= 1,
@@ -198,13 +181,12 @@ class ExperimentConfig:
         if mapping.get("validators") is not None:
             ValidatorSpec.from_mapping(mapping["validators"])
 
-        return cls(problem_name=name, problem_params=dict(params),
-                   methods=tuple(methods), etas=etas, T=T,
-                   seeds=tuple(seeds),
-                   output_dir=Path(mapping.get("output_dir", "out")),
-                   record_every=record_every, gaps=gaps,
-                   instruments=instruments, holonomy_probes=holonomy,
-                   init_radius_frac=frac)
+        cfg = cls(problem_name=name, problem_params=dict(params),
+                  methods=tuple(methods), etas=etas, seeds=tuple(seeds),
+                  output_dir=Path(mapping.get("output_dir", "out")),
+                  solver=SolverConfig(**settings))
+        cfg.cells()   # SolverConfig rejects any bad cell here, before a run
+        return cfg
 
 
 def parse_mapping(mapping: dict, overrides=None) -> ExperimentConfig:

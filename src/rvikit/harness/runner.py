@@ -39,10 +39,6 @@ def _eta_label(eta) -> str:
     return "auto" if eta == "auto" else format(float(eta), ".6g")
 
 
-def _run_key(method: str, eta, seed: int) -> str:
-    return f"{method}_eta-{_eta_label(eta)}_seed-{seed}"
-
-
 @dataclass
 class ExperimentResult:
     """Artifacts and verdict of one grid execution."""
@@ -66,25 +62,19 @@ def _rate_fits(trace: RunTrace) -> dict:
 
 
 def _execute_cell(cfg: ExperimentConfig, prob: VectorFieldProblem,
-                  bounds: GeometryBounds, method: str, eta, seed: int,
+                  bounds: GeometryBounds, cell: SolverConfig,
                   out_dir: Path) -> tuple[str, dict, Path]:
     """One grid cell: run on the shared problem, write the CSV, summarize."""
-    solver_cfg = SolverConfig(
-        method=method, T=cfg.T, eta=eta, record_every=cfg.record_every,
-        seed=seed, instruments=cfg.instruments, gaps=cfg.gaps,
-        holonomy_probes=cfg.holonomy_probes,
-        init_radius_frac=cfg.init_radius_frac)
     try:
-        trace = run(prob, solver_cfg, bounds=bounds)
+        trace = run(prob, cell, bounds=bounds)
     except SolverAbort as exc:
-        trace = exc.trace
-        if trace is None:
-            raise
-    key = _run_key(method, eta, seed)
+        trace = exc.trace   # run() attaches the partial trace to every abort
+    label = _eta_label(cell.eta)
+    key = f"{cell.method}_eta-{label}_seed-{cell.seed}"
     csv_path = out_dir / f"{cfg.problem_name}_{key}.csv"
     trace.to_csv(csv_path)
     entry = trace.summary()
-    entry["eta_requested"] = _eta_label(eta)
+    entry["eta_requested"] = label
     entry["csv"] = csv_path.name
     entry["rates"] = _rate_fits(trace)
     return key, entry, csv_path
@@ -98,16 +88,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    etas = ("auto",) if cfg.etas == "auto" else tuple(cfg.etas)
-    cells = [(method, eta, seed)
-             for method in cfg.methods for eta in etas for seed in cfg.seeds]
-
     prob = make_problem(cfg.problem_name, **cfg.problem_params)
     bounds = prob.bounds()
     results: dict[str, dict] = {}
     csv_paths: list[Path] = []
-    for m, e, s in cells:
-        key, entry, path = _execute_cell(cfg, prob, bounds, m, e, s, out_dir)
+    for cell in cfg.cells():
+        key, entry, path = _execute_cell(cfg, prob, bounds, cell, out_dir)
         results[key] = entry
         csv_paths.append(path)
 
@@ -130,8 +116,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "problem": {"name": cfg.problem_name, "params": cfg.problem_params},
         "grid": {"methods": list(cfg.methods),
                  "etas": "auto" if cfg.etas == "auto" else list(cfg.etas),
-                 "seeds": list(cfg.seeds), "T": cfg.T,
-                 "record_every": cfg.record_every},
+                 "seeds": list(cfg.seeds), "T": cfg.solver.T,
+                 "record_every": cfg.solver.record_every},
         "runs": results,
         "totals": {"violations": totals,
                    "total_violations": total_violations,

@@ -14,6 +14,7 @@ invariants at construction:
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,12 @@ class Manifold(abc.ABC):
         """Geodesic distance."""
 
     def norm(self, x: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(x, v, v), 0.0)))
+        """Riemannian norm; one that overflows breaks the finite-numbers contract."""
+        with np.errstate(over="ignore"):
+            n = float(np.sqrt(max(self.inner(x, v, v), 0.0)))
+        if not math.isfinite(n):
+            raise ContractViolation("tangent norm overflows: it must be finite")
+        return n
 
     def anchor(self) -> np.ndarray:
         """A canonical base point (origin/identity/first axis)."""

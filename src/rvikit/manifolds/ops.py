@@ -8,6 +8,7 @@ garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,13 @@ def norm(u: Tangent) -> float:
 
 
 def distance(p: Point, q: Point) -> float:
+    """Geodesic distance; one that overflows breaks the finite-numbers contract."""
     _require_same_manifold(p, q)
-    return p.manifold.dist(p.coords, q.coords)
+    with np.errstate(over="ignore"):
+        d = p.manifold.dist(p.coords, q.coords)
+    if not math.isfinite(d):
+        raise ContractViolation("distance overflows: it must be finite")
+    return d
 
 
 def zero_tangent(p: Point) -> Tangent:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
-from ..exceptions import ConfigError, ContractViolation, RvikitError, SolverAbort
+from ..exceptions import ConfigError, ContractViolation, RvikitError, SolverAbort, require
 from ..geometry.constants import (
     GeometryBounds,
     rho_coefficient,
@@ -62,9 +63,13 @@ CSV_COLUMNS = ["t", "dist", "op_norm", "op_norm_half", "hamiltonian",
                "gap_last", "gap_avg", "phi", "violation_flags"]
 
 
-@dataclass
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class SolverConfig:
-    """How to run one solver on one problem."""
+    """How to run one solver on one problem; a bad setting raises ConfigError."""
 
     method: str = "REG"
     T: int = 1000
@@ -76,10 +81,31 @@ class SolverConfig:
     holonomy_probes: bool = False
     init_radius_frac: float = 0.9
 
-    def resolved_instruments(self) -> frozenset:
-        if self.instruments is not None:
-            return frozenset(self.instruments)
-        return _METHOD_TABLE[self.method][1]
+    def __post_init__(self):
+        require(self.method in METHODS,
+                f"unknown method {self.method!r}; valid methods: {list(METHODS)}")
+        for name in ("T", "record_every"):
+            value = getattr(self, name)
+            require(_is(value, numbers.Integral) and value >= 1,
+                    f"{name} must be an integer >= 1, got {value!r}")
+        require(self.eta == "auto" or (_is(self.eta, numbers.Real)
+                                       and 0.0 < self.eta < math.inf),
+                f"eta must be 'auto' or a positive step size, got {self.eta!r}")
+        require(self.seed is None or _is(self.seed, numbers.Integral),
+                f"seed must be an integer or None, got {self.seed!r}")
+        names = self.instruments
+        if names is not None:
+            require(isinstance(names, (list, tuple, set, frozenset))
+                    and all(i in INSTRUMENTS for i in names),
+                    f"unknown instruments in {names!r}; "
+                    f"valid instruments: {list(INSTRUMENTS)}")
+            object.__setattr__(self, "instruments", frozenset(names))
+        for name in ("gaps", "holonomy_probes"):
+            require(isinstance(getattr(self, name), bool),
+                    f"{name} must be true or false")
+        require(_is(self.init_radius_frac, numbers.Real)
+                and 0.0 < self.init_radius_frac <= 1.0,
+                f"init_radius_frac must lie in (0, 1], got {self.init_radius_frac!r}")
 
 
 @dataclass
@@ -121,7 +147,6 @@ class RunTrace:
     aborted: bool = False
     abort_reason: str = ""
     final: Optional[Point] = None
-    final_half: Optional[Point] = None
     average: Optional[Point] = None
     lyapunov_lambda: Optional[float] = None
     rho: Optional[float] = None
@@ -200,29 +225,16 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         bounds: GeometryBounds | None = None) -> RunTrace:
     """Run ``config.method`` on ``prob`` and return the instrumented trace.
 
-    Geometry failures mid-run, non-finite iterates among them, raise
-    :class:`SolverAbort` with the partial trace attached; guarantee
+    Geometry failures mid-run, non-finite iterates or overflowing norms among
+    them, raise :class:`SolverAbort` with the partial trace attached; guarantee
     violations never raise, they are counted and flagged in the records.
     """
-    if config.method not in METHODS:
-        raise ConfigError(
-            f"unknown method {config.method!r}; available: {', '.join(METHODS)}")
-    if config.T < 1:
-        raise ConfigError("T must be >= 1")
-    if config.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-
-    instruments = config.resolved_instruments()
-    unknown = sorted(instruments - set(INSTRUMENTS))
-    if unknown:
-        raise ConfigError(f"unknown instruments {unknown}; "
-                          f"valid instruments: {list(INSTRUMENTS)}")
+    instruments = (_METHOD_TABLE[config.method][1] if config.instruments is None
+                   else config.instruments)
     evals0 = prob.evals
     if bounds is None:
         bounds = prob.bounds()
     eta = auto_eta(config.method, bounds) if config.eta == "auto" else float(config.eta)
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
 
     z = z0 if z0 is not None else initial_point(prob, config)
     sol = prob.solution
@@ -362,6 +374,5 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         trace.field_evals = prob.evals - evals0
 
     trace.final = z
-    trace.final_half = tilde_prev
     trace.average = average.mean
     return trace

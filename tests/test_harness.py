@@ -118,7 +118,7 @@ def test_minimal_config_defaults():
     assert cfg.problem_name == "euclidean_bilinear"
     assert cfg.problem_params == {"dim": 4}
     assert cfg.etas == "auto"
-    assert cfg.T == 1000
+    assert cfg.solver.T == 1000
     assert cfg.seeds == (0,)
 
 
@@ -143,11 +143,27 @@ def test_minimal_config_defaults():
       "bogus_key": 1}, "bogus_key"),
     ({"problem": {"name": "euclidean_bilinear", "extra": 1},
       "methods": ["REG"]}, "extra"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "etas": ["abc"]}, "etas"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "etas": [None]}, "etas"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "init_radius_frac": "abc"}, "init_radius_frac"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "init_radius_frac": 5.0}, "init_radius_frac"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "seeds": [True]}, "seed"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "T": True}, "T"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "gaps": "yes"}, "gaps"),
 ], ids=["empty", "unknown-problem", "no-methods", "unknown-method",
         "negative-eta", "zero-T", "zero-record", "zero-workers",
         "unknown-instrument",
         "malformed-validators",
-        "unknown-key", "unknown-problem-key"])
+        "unknown-key", "unknown-problem-key",
+        "non-numeric-eta", "null-eta", "non-numeric-init-radius",
+        "init-radius-above-one", "bool-seed", "bool-T", "non-bool-gaps"])
 def test_config_validation_errors(broken, needle):
     with pytest.raises(ConfigError) as err:
         parse_mapping(broken)
@@ -378,6 +394,12 @@ def test_cli_bad_method_is_config_error(tmp_path, capsys):
                       _grid_mapping(tmp_path, methods=["SGD"]))
     assert main(["run", cfg]) == 1
     assert "SGD" in capsys.readouterr().err
+
+
+def test_cli_unparsable_eta_is_config_error(tmp_path, capsys):
+    cfg = _write_yaml(tmp_path / "exp.yaml", _grid_mapping(tmp_path))
+    assert main(["run", cfg, "--set", "etas=[abc]"]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_validate(tmp_path, capsys):

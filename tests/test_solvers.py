@@ -310,12 +310,18 @@ def test_holonomy_probe_instrumentation():
 
 def test_violations_are_counted_and_flagged():
     prob = make_problem("euclidean_bilinear")
-    # deliberately oversized step: norm monotonicity must break
-    trace = run(prob, SolverConfig(method="REG", T=200, record_every=1,
-                                   eta=3.0 / prob.lipschitz))
-    assert trace.violations["norm_monotone"] > 0
-    assert any(r.violation_flags & 1 for r in trace.records)
+    # deliberately oversized step: norm monotonicity must break, every step,
+    # until ||F|| overflows and the run aborts instead of going blind
+    with pytest.raises(SolverAbort) as err:
+        run(prob, SolverConfig(method="REG", T=200, record_every=1,
+                               eta=3.0 / prob.lipschitz))
+    trace = err.value.trace
+    steps = len(trace.records)
+    assert 0 < steps < 200
+    assert trace.violations["norm_monotone"] == steps
+    assert all(r.violation_flags & 1 for r in trace.records)
     assert trace.total_violations() == sum(trace.violations.values())
+    assert "overflow" in trace.abort_reason
 
 
 def test_divergent_baseline_breaks_boundedness():
@@ -368,6 +374,21 @@ def test_run_config_validation():
         run(prob, SolverConfig(T=10, record_every=0))
     with pytest.raises(ConfigError):
         run(prob, SolverConfig(T=10, instruments=frozenset({"norm_monotne"})))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=True))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, seed=True))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, eta="abc"))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, gaps=1))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, init_radius_frac="abc"))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, init_radius_frac=-1.0))
+    with pytest.raises(ConfigError):
+        run(prob, SolverConfig(T=10, init_radius_frac=5.0,
+                               instruments=frozenset()))
 
 
 def test_run_rejects_out_of_region_start_when_instrumented():
