@@ -56,3 +56,8 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`ConfigError` with ``message`` unless ``condition`` holds."""
     if not condition:
         raise ConfigError(message)
+
+
+def is_strictly(value, kind) -> bool:
+    """``isinstance(value, kind)``, except that a bool counts as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)

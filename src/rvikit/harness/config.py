@@ -12,12 +12,14 @@ individual keys with dotted paths (``--set grid.T=1000``-style
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
-from ..exceptions import ConfigError, require as _require
+from ..exceptions import ConfigError, is_strictly, require as _require
 from ..geometry.probes import CHECKS
 from ..problems import list_problems
 from ..solvers import SolverConfig
@@ -69,7 +71,10 @@ def apply_overrides(mapping: dict, overrides) -> dict:
 
 @dataclass(frozen=True)
 class ValidatorSpec:
-    """Geometry-validator sweep request: which manifolds, which checks, how many."""
+    """Geometry-validator sweep request: which manifolds, which checks, how many.
+
+    A bad setting raises ConfigError when the spec is built.
+    """
 
     manifolds: tuple[str, ...]
     checks: tuple[str, ...]
@@ -77,32 +82,38 @@ class ValidatorSpec:
     seed: int = 0
     leg: float | None = None
 
+    def __post_init__(self):
+        _require(isinstance(self.manifolds, (list, tuple)) and len(self.manifolds) > 0,
+                 "validators.manifolds must be a nonempty list of manifold specs")
+        object.__setattr__(self, "manifolds", tuple(str(m) for m in self.manifolds))
+        checks = self.checks if isinstance(self.checks, (list, tuple)) else [self.checks]
+        bad = [c for c in checks if c not in CHECKS]
+        _require(not bad, f"unknown checks {bad}; valid checks: {sorted(CHECKS)}")
+        object.__setattr__(self, "checks", tuple(checks))
+        _require(is_strictly(self.probes, numbers.Integral) and self.probes >= 0,
+                 "validators.probes must be a nonnegative integer")
+        _require(is_strictly(self.seed, numbers.Integral) and self.seed >= 0,
+                 "validators.seed must be a nonnegative integer")
+        _require(self.leg is None or (is_strictly(self.leg, numbers.Real)
+                                      and 0.0 < self.leg < math.inf),
+                 f"validators.leg must be a positive number, got {self.leg!r}")
+        object.__setattr__(self, "leg", None if self.leg is None else float(self.leg))
+
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ValidatorSpec":
         if not isinstance(mapping, dict):
             raise ConfigError("validators section must be a mapping")
         unknown = set(mapping) - {"manifolds", "checks", "probes", "seed", "leg"}
         _require(not unknown, f"unknown validator keys: {sorted(unknown)}")
-        manifolds = mapping.get("manifolds")
-        _require(isinstance(manifolds, (list, tuple)) and len(manifolds) > 0,
-                 "validators.manifolds must be a nonempty list of manifold specs")
-        checks = mapping.get("checks", sorted(CHECKS))
-        if isinstance(checks, str):
-            checks = [checks]
-        bad = [c for c in checks if c not in CHECKS]
-        _require(not bad,
-                 f"unknown checks {bad}; valid checks: {sorted(CHECKS)}")
-        probes = mapping.get("probes")
-        _require(isinstance(probes, int) and probes >= 0,
-                 "validators.probes must be a nonnegative integer")
-        seed = mapping.get("seed", 0)
-        _require(isinstance(seed, int), "validators.seed must be an integer")
         leg = mapping.get("leg")
-        if leg is not None:
-            leg = float(leg)
-            _require(leg > 0, "validators.leg must be positive")
-        return cls(manifolds=tuple(str(m) for m in manifolds),
-                   checks=tuple(checks), probes=probes, seed=seed, leg=leg)
+        try:   # YAML reads 1e-1 as a string
+            leg = float(leg) if isinstance(leg, str) else leg
+        except ValueError:
+            raise ConfigError(f"validators.leg must be a number, got {leg!r}") from None
+        return cls(manifolds=mapping.get("manifolds"),
+                   checks=mapping.get("checks", sorted(CHECKS)),
+                   probes=mapping.get("probes"), seed=mapping.get("seed", 0),
+                   leg=leg)
 
 
 # config keys passed through to SolverConfig; the grid axes fill the rest

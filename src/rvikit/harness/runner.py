@@ -17,7 +17,7 @@ import numpy as np
 
 from ..exceptions import DomainError, SolverAbort
 from ..geometry.constants import GeometryBounds
-from ..geometry.probes import CHECKS, run_sweep, write_sweep_csv
+from ..geometry.probes import run_sweep, write_sweep_csv
 from ..problems import VectorFieldProblem, make_problem, manifold_from_spec
 from ..solvers import RunTrace, SolverConfig, run
 from .config import ExperimentConfig, ValidatorSpec
@@ -171,8 +171,6 @@ def run_validators(spec: ValidatorSpec,
         out_dir = Path(output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     for ci, check in enumerate(spec.checks):
-        if check not in CHECKS:
-            raise KeyError(f"unknown check {check!r}")
         rows = [] if out_dir is not None else None
         for mi, mspec in enumerate(spec.manifolds):
             m = manifold_from_spec(mspec)

@@ -12,7 +12,6 @@ from .ops import (
     geodesic_average_update,
     inner,
     log_map,
-    norm,
     point_from_list,
     point_to_list,
     random_point,
@@ -26,7 +25,7 @@ __all__ = [
     "Manifold", "Point", "Tangent",
     "Euclidean", "Sphere", "Hyperboloid", "SPD", "Product", "minkowski",
     "GeodesicAverage", "geodesic_average_update",
-    "exp_map", "log_map", "transport", "distance", "inner", "norm",
+    "exp_map", "log_map", "transport", "distance", "inner",
     "zero_tangent", "random_point", "random_tangent", "ball_point",
     "point_to_list", "point_from_list",
 ]

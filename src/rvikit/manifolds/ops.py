@@ -60,10 +60,6 @@ def inner(u: Tangent, v: Tangent) -> float:
     return m.inner(u.base.coords, u.components, v.components)
 
 
-def norm(u: Tangent) -> float:
-    return u.norm()
-
-
 def distance(p: Point, q: Point) -> float:
     """Geodesic distance; one that overflows breaks the finite-numbers contract."""
     _require_same_manifold(p, q)

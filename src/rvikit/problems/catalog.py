@@ -9,12 +9,13 @@ sampled estimates on the operating region.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
 import numpy as np
 
-from ..exceptions import ConfigError, ContractViolation
+from ..exceptions import ConfigError, ContractViolation, require
 from ..geometry.constants import zeta
 from ..manifolds import ops
 from ..manifolds.base import Manifold, Point, Tangent
@@ -50,6 +51,10 @@ def make_problem(name: str, **params) -> VectorFieldProblem:
     if name not in _REGISTRY:
         raise ConfigError(
             f"unknown problem {name!r}; available: {', '.join(list_problems())}")
+    valid = list(inspect.signature(_REGISTRY[name]).parameters)
+    unknown = sorted(set(params) - set(valid))
+    require(not unknown, f"unknown parameters {unknown} for problem {name!r}; "
+                         f"valid parameters: {valid}")
     return _REGISTRY[name](**params)
 
 

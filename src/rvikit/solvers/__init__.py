@@ -14,10 +14,10 @@ from .run import (
     initial_point,
     run,
 )
-from .steps import rceg_step, reg_step, rgda_step, rogda_step, rpeg_step
+from .steps import Step, rceg_step, reg_step, rgda_step, rogda_step, rpeg_step
 
 __all__ = [
-    "METHODS", "reg_step", "rpeg_step", "rceg_step", "rogda_step", "rgda_step",
+    "METHODS", "Step", "reg_step", "rpeg_step", "rceg_step", "rogda_step", "rgda_step",
     "SolverConfig", "IterateRecord", "RunTrace", "run", "auto_eta",
     "initial_point", "INSTRUMENTS", "INSTRUMENT_TOL", "CSV_COLUMNS",
     "FLAG_NORM", "FLAG_LYAPUNOV", "FLAG_BOUNDED", "FLAG_HOLONOMY",

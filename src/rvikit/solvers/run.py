@@ -4,8 +4,9 @@ The driver owns all bookkeeping the step functions don't: step-size
 selection from curvature bounds, per-iteration guarantee checks
 (norm monotonicity, Lyapunov descent, trajectory boundedness, optional
 holonomy probes), the running geodesic average of exploratory iterates,
-and the fixed-schema trace records.  One table maps each method to its
-certified step size and its default instruments.
+the fixed-schema trace records, and F at the iterates, evaluated once per
+point.  The method table is the single registry of per-method facts; all
+else the driver reads off each step's :class:`~rvikit.solvers.steps.Step`.
 
 Every record reuses the F(z_t) it already evaluated: ``op_norm`` is its
 norm and ``hamiltonian`` its squared norm.  A run either returns its
@@ -20,11 +21,12 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..exceptions import ConfigError, ContractViolation, RvikitError, SolverAbort, require
+from ..exceptions import (ConfigError, ContractViolation, RvikitError, SolverAbort,
+                          is_strictly, require)
 from ..geometry.constants import (
     GeometryBounds,
     rho_coefficient,
@@ -49,22 +51,36 @@ FLAG_HOLONOMY = 8
 # guarantee checks a run can switch on; holonomy probes have their own flag
 INSTRUMENTS = ("norm_monotone", "lyapunov", "boundedness")
 
-# method -> (certified step size, default instruments)
-_METHOD_TABLE = {
-    "REG": (step_size_reg, frozenset({"norm_monotone", "boundedness"})),
-    "RPEG": (step_size_rpeg, frozenset({"lyapunov", "boundedness"})),
-    "RCEG": (step_size_rceg, frozenset({"boundedness"})),
-    "ROGDA": (step_size_rpeg, frozenset()),
-    "RGDA": (step_size_reg, frozenset()),
-}
-METHODS = tuple(_METHOD_TABLE)
+
+class Method(NamedTuple):
+    """Everything the driver needs to know about one method."""
+
+    step: Callable
+    eta: Callable[[GeometryBounds], float]    # certified step size
+    instruments: frozenset                    # default guarantee checks
+    lyapunov: bool = False                    # the RPEG potential applies
+    needs_f_z: bool = True                    # the step is handed F(z)
+
+
+def _method_table() -> dict:
+    """Method name -> :class:`Method`, built per call so that the steps
+    resolve through this module's namespace when a run starts."""
+    return {
+        "REG": Method(reg_step, step_size_reg,
+                      frozenset({"norm_monotone", "boundedness"})),
+        "RPEG": Method(rpeg_step, step_size_rpeg,
+                       frozenset({"lyapunov", "boundedness"}), lyapunov=True,
+                       needs_f_z=False),
+        "RCEG": Method(rceg_step, step_size_rceg, frozenset({"boundedness"})),
+        "ROGDA": Method(rogda_step, step_size_rpeg, frozenset()),
+        "RGDA": Method(rgda_step, step_size_reg, frozenset()),
+    }
+
+
+METHODS = tuple(_method_table())
 
 CSV_COLUMNS = ["t", "dist", "op_norm", "op_norm_half", "hamiltonian",
                "gap_last", "gap_avg", "phi", "violation_flags"]
-
-
-def _is(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -86,12 +102,12 @@ class SolverConfig:
                 f"unknown method {self.method!r}; valid methods: {list(METHODS)}")
         for name in ("T", "record_every"):
             value = getattr(self, name)
-            require(_is(value, numbers.Integral) and value >= 1,
+            require(is_strictly(value, numbers.Integral) and value >= 1,
                     f"{name} must be an integer >= 1, got {value!r}")
-        require(self.eta == "auto" or (_is(self.eta, numbers.Real)
+        require(self.eta == "auto" or (is_strictly(self.eta, numbers.Real)
                                        and 0.0 < self.eta < math.inf),
                 f"eta must be 'auto' or a positive step size, got {self.eta!r}")
-        require(self.seed is None or _is(self.seed, numbers.Integral),
+        require(self.seed is None or is_strictly(self.seed, numbers.Integral),
                 f"seed must be an integer or None, got {self.seed!r}")
         names = self.instruments
         if names is not None:
@@ -103,7 +119,7 @@ class SolverConfig:
         for name in ("gaps", "holonomy_probes"):
             require(isinstance(getattr(self, name), bool),
                     f"{name} must be true or false")
-        require(_is(self.init_radius_frac, numbers.Real)
+        require(is_strictly(self.init_radius_frac, numbers.Real)
                 and 0.0 < self.init_radius_frac <= 1.0,
                 f"init_radius_frac must lie in (0, 1], got {self.init_radius_frac!r}")
 
@@ -202,9 +218,8 @@ class RunTrace:
 
 def auto_eta(method: str, bounds: GeometryBounds) -> float:
     """The certified step size of ``method`` under ``bounds``."""
-    if method not in _METHOD_TABLE:
-        raise ConfigError(f"unknown method {method!r}")
-    return _METHOD_TABLE[method][0](bounds)
+    require(method in METHODS, f"unknown method {method!r}")
+    return _method_table()[method].eta(bounds)
 
 
 def initial_point(prob: VectorFieldProblem, config: SolverConfig) -> Point:
@@ -227,14 +242,16 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
 
     Geometry failures mid-run, non-finite iterates or overflowing norms among
     them, raise :class:`SolverAbort` with the partial trace attached; guarantee
-    violations never raise, they are counted and flagged in the records.
+    violations never raise, they are counted and flagged in the records.  The
+    steps run with numpy's overflow warnings off; the abort reports an overflow.
     """
-    instruments = (_METHOD_TABLE[config.method][1] if config.instruments is None
+    method = _method_table()[config.method]
+    instruments = (method.instruments if config.instruments is None
                    else config.instruments)
     evals0 = prob.evals
     if bounds is None:
         bounds = prob.bounds()
-    eta = auto_eta(config.method, bounds) if config.eta == "auto" else float(config.eta)
+    eta = method.eta(bounds) if config.eta == "auto" else float(config.eta)
 
     z = z0 if z0 is not None else initial_point(prob, config)
     sol = prob.solution
@@ -264,108 +281,80 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
         return duality_gap(prob.objective, point, sol, gap_radius,
                            lipschitz=prob.lipschitz).value
 
-    # persistent method state
-    tilde_prev: Point = z           # z~_{-1} = z_0
-    f_curr = prob.field(z)          # F(z_0)
-    f_tilde_prev = f_curr           # F(z~_{-1}) = F(z_0), reused by RPEG/ROGDA
-    phi_prev: Optional[float] = None
-    if "lyapunov" in instruments:
-        phi_prev = ops.distance(z, sol) ** 2 if sol is not None else None
-
-    average = ops.GeodesicAverage()
+    do_phi = "lyapunov" in instruments and sol is not None and method.lyapunov
+    phi = ops.distance(z, sol) ** 2 if do_phi else None
     needs_f_each_step = bool({"norm_monotone", "lyapunov"} & instruments)
+    average = ops.GeodesicAverage()
+
+    f_z = prob.field(z)
+    stale = (z, f_z)            # z~_{-1} = z_0 for the methods that reuse F
 
     try:
-        for t in range(1, config.T + 1):
-            cache: dict = {}
-            z_prev = z
-            # ---- one update ------------------------------------------------
-            if config.method == "REG":
-                z_tilde, z_new = reg_step(prob, z, eta, f_z=f_curr, cache=cache)
-            elif config.method == "RPEG":
-                z_tilde, z_new = rpeg_step(prob, z, tilde_prev, eta,
-                                           f_tilde_prev=f_tilde_prev, cache=cache)
-                f_tilde_prev = cache["f_tilde"]
-            elif config.method == "RCEG":
-                z_tilde, z_new = rceg_step(prob, z, eta, f_z=f_curr, cache=cache)
-            elif config.method == "ROGDA":
-                # the iterate sequence *is* the half sequence: z = z~_{t-1}
-                z_new = rogda_step(prob, z, tilde_prev, eta,
-                                   f_tilde_prev=f_tilde_prev, cache=cache)
-                f_tilde_prev = cache["f_tilde"]   # F(z~_{t-1}), based at z
-                z_tilde = z_new
-            else:  # RGDA
-                z_new = rgda_step(prob, z, eta, f_z=f_curr, cache=cache)
-                z_tilde = z_new
+        with np.errstate(over="ignore"):
+            for t in range(1, config.T + 1):
+                step = method.step(prob, z, eta, f_z, stale)
+                z_new = step.z_next
+                recording = (t % config.record_every == 0) or (t == config.T)
+                f_new = None
+                if needs_f_each_step or recording:
+                    f_new = prob.field(z_new)
 
-            recording = (t % config.record_every == 0) or (t == config.T)
-            f_new = None
-            if needs_f_each_step or recording:
-                f_new = prob.field(z_new)
+                flags = 0
+                # ---- guarantee instrumentation -----------------------------
+                if "norm_monotone" in instruments:
+                    if f_new.norm() > f_z.norm() + INSTRUMENT_TOL:
+                        viol["norm_monotone"] += 1
+                        flags |= FLAG_NORM
 
-            flags = 0
-            # ---- guarantee instrumentation ---------------------------------
-            if "norm_monotone" in instruments:
-                if f_new.norm() > f_curr.norm() + INSTRUMENT_TOL:
-                    viol["norm_monotone"] += 1
-                    flags |= FLAG_NORM
+                phi_t = None
+                if do_phi:
+                    pulled = ops.transport(step.z_tilde, z_new, step.f_tilde)
+                    drift = (f_new - pulled).norm()
+                    phi_t = (ops.distance(z_new, sol) ** 2
+                             + lam * t * eta ** 2
+                             * (f_new.norm() ** 2 + 2.0 * drift ** 2))
+                    if phi_t > phi + INSTRUMENT_TOL:
+                        viol["lyapunov"] += 1
+                        flags |= FLAG_LYAPUNOV
+                    phi = phi_t
 
-            phi_t = None
-            if ("lyapunov" in instruments and sol is not None
-                    and config.method == "RPEG"):
-                stale = ops.transport(z_tilde, z_new, cache["f_tilde"])
-                drift = (f_new - stale).norm()
-                phi_t = (ops.distance(z_new, sol) ** 2
-                         + lam * t * eta ** 2
-                         * (f_new.norm() ** 2 + 2.0 * drift ** 2))
-                if phi_prev is not None and phi_t > phi_prev + INSTRUMENT_TOL:
-                    viol["lyapunov"] += 1
-                    flags |= FLAG_LYAPUNOV
-                phi_prev = phi_t
+                if "boundedness" in instruments:
+                    # half iterates sit one eta*||F|| <= eta*G step off the main ones
+                    limit_main = prob.region_radius + INSTRUMENT_TOL
+                    limit_half = prob.region_radius + eta * bounds.G + INSTRUMENT_TOL
+                    if (ops.distance(z_new, sol) > limit_main
+                            or ops.distance(step.z_tilde, sol) > limit_half):
+                        viol["boundedness"] += 1
+                        flags |= FLAG_BOUNDED
 
-            if "boundedness" in instruments and sol is not None:
-                # half iterates sit one eta*||F|| <= eta*G step off the main ones
-                limit_main = prob.region_radius + INSTRUMENT_TOL
-                limit_half = prob.region_radius + eta * bounds.G + INSTRUMENT_TOL
-                if (ops.distance(z_new, sol) > limit_main
-                        or ops.distance(z_tilde, sol) > limit_half):
-                    viol["boundedness"] += 1
-                    flags |= FLAG_BOUNDED
-
-            if (config.holonomy_probes
-                    and config.method in ("REG", "RPEG", "RCEG")):
-                u = cache.get("f_z") or cache.get("stale_at_z")
-                if u is not None and u.norm() > 1e-12:
-                    rep = holonomy_defect(z_prev, z_tilde, z_new, u)
+                u = step.probe          # None for methods with no probe loop
+                if config.holonomy_probes and u is not None and u.norm() > 1e-12:
+                    rep = holonomy_defect(z, step.z_tilde, z_new, u)
                     if rep.valid and rep.residual < RESIDUAL_TOL:
                         viol["holonomy"] += 1
                         flags |= FLAG_HOLONOMY
 
-            # ---- averaging & records ---------------------------------------
-            average = ops.geodesic_average_update(average, z_tilde)
+                # ---- averaging & records -----------------------------------
+                average = ops.geodesic_average_update(average, step.z_tilde)
 
-            if recording:
-                op_norm = f_new.norm()
-                rec = IterateRecord(t=t, op_norm=op_norm,
-                                    hamiltonian=op_norm ** 2,
-                                    phi=phi_t, violation_flags=flags)
-                if sol is not None:
-                    rec.dist = ops.distance(z_new, sol)
-                if config.method in ("REG", "RPEG", "RCEG"):
-                    rec.op_norm_half = cache["f_tilde"].norm()
-                if do_gaps:
-                    rec.gap_last = gap_at(z_new)
-                    if average.mean is not None:
-                        rec.gap_avg = gap_at(average.mean)
-                trace.records.append(rec)
+                if recording:
+                    op_norm = f_new.norm()
+                    rec = IterateRecord(t=t, op_norm=op_norm,
+                                        hamiltonian=op_norm ** 2,
+                                        phi=phi_t, violation_flags=flags)
+                    if sol is not None:
+                        rec.dist = ops.distance(z_new, sol)
+                    if step.f_tilde is not None:
+                        rec.op_norm_half = step.f_tilde.norm()
+                    if do_gaps:
+                        rec.gap_last = gap_at(z_new)
+                        if average.mean is not None:
+                            rec.gap_avg = gap_at(average.mean)
+                    trace.records.append(rec)
 
-            # ---- roll state -------------------------------------------------
-            tilde_prev = z_prev if config.method == "ROGDA" else z_tilde
-            z = z_new
-            if f_new is None and config.method in ("REG", "RCEG", "RGDA"):
-                f_new = prob.field(z_new)
-            if f_new is not None:
-                f_curr = f_new
+                if f_new is None and method.needs_f_z:
+                    f_new = prob.field(z_new)
+                z, f_z, stale = z_new, f_new, step.stale
     except RvikitError as err:
         trace.aborted = True
         trace.abort_reason = f"{config.method} aborted at t={t}: {err}"

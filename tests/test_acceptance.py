@@ -153,7 +153,7 @@ def test_criterion_06_euclidean_reductions():
         for step_fn in (reg_step, rceg_step):
             z, v = Point(prob.manifold, v0), v0.copy()
             for _ in range(1000):
-                _, z = step_fn(prob, z, eta)
+                z = step_fn(prob, z, eta, prob.field(z), None).z_next
                 v_tilde = v - eta * _flat_field(A, v)
                 v = v - eta * _flat_field(A, v_tilde)
                 worst = max(worst, float(np.max(np.abs(z.coords - v))))
@@ -162,7 +162,8 @@ def test_criterion_06_euclidean_reductions():
         z = tilde_prev = Point(prob.manifold, v0)
         v, v_tilde_prev = v0.copy(), v0.copy()
         for _ in range(1000):
-            z_tilde, z = rpeg_step(prob, z, tilde_prev, eta)
+            z_tilde, z = rpeg_step(prob, z, eta, None,
+                                   (tilde_prev, prob.field(tilde_prev)))[:2]
             v_tilde = v - eta * _flat_field(A, v_tilde_prev)
             v = v - eta * _flat_field(A, v_tilde)
             worst = max(worst, float(np.max(np.abs(z.coords - v))))
@@ -172,7 +173,8 @@ def test_criterion_06_euclidean_reductions():
         z = z_prev = Point(prob.manifold, v0)
         w, w_prev = v0.copy(), v0.copy()
         for _ in range(1000):
-            z_new = rogda_step(prob, z, z_prev, eta)
+            z_new = rogda_step(prob, z, eta, prob.field(z),
+                               (z_prev, prob.field(z_prev))).z_next
             w_new = w - 2.0 * eta * _flat_field(A, w) + eta * _flat_field(A, w_prev)
             worst = max(worst, float(np.max(np.abs(z_new.coords - w_new))))
             z_prev, z, w_prev, w = z, z_new, w, w_new

@@ -157,13 +157,19 @@ def test_minimal_config_defaults():
       "T": True}, "T"),
     ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
       "gaps": "yes"}, "gaps"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "validators": {"manifolds": ["s2"], "probes": 5, "leg": "abc"}},
+     "validators.leg"),
+    ({"problem": {"name": "euclidean_bilinear"}, "methods": ["REG"],
+      "validators": {"manifolds": ["s2"], "probes": True}}, "validators.probes"),
 ], ids=["empty", "unknown-problem", "no-methods", "unknown-method",
         "negative-eta", "zero-T", "zero-record", "zero-workers",
         "unknown-instrument",
         "malformed-validators",
         "unknown-key", "unknown-problem-key",
         "non-numeric-eta", "null-eta", "non-numeric-init-radius",
-        "init-radius-above-one", "bool-seed", "bool-T", "non-bool-gaps"])
+        "init-radius-above-one", "bool-seed", "bool-T", "non-bool-gaps",
+        "non-numeric-leg", "bool-probes"])
 def test_config_validation_errors(broken, needle):
     with pytest.raises(ConfigError) as err:
         parse_mapping(broken)
@@ -184,6 +190,17 @@ def test_validator_spec_validation():
         ValidatorSpec.from_mapping({"manifolds": ["s2"], "probes": 5,
                                     "checks": ["nope"]})
     assert "holonomy" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [{"probes": -3}, {"leg": -1.0},
+                                 {"checks": ("nope",)}, {"seed": -1}],
+                         ids=["negative-probes", "negative-leg", "unknown-check",
+                              "negative-seed"])
+def test_validator_spec_built_directly_is_validated(bad):
+    settings = {"manifolds": ("s2",), "checks": ("distance_comparison",),
+                "probes": 5, **bad}
+    with pytest.raises(ConfigError):
+        ValidatorSpec(**settings)
 
 
 def test_apply_overrides_semantics():
@@ -399,6 +416,23 @@ def test_cli_bad_method_is_config_error(tmp_path, capsys):
 def test_cli_unparsable_eta_is_config_error(tmp_path, capsys):
     cfg = _write_yaml(tmp_path / "exp.yaml", _grid_mapping(tmp_path))
     assert main(["run", cfg, "--set", "etas=[abc]"]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_unknown_problem_parameter_is_config_error(tmp_path, capsys):
+    cfg = _write_yaml(tmp_path / "exp.yaml", _grid_mapping(tmp_path))
+    assert main(["run", cfg, "--set", "problem.params.bogus=1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "bogus" in err and "region_radius" in err
+
+
+def test_cli_validate_unparsable_leg_is_config_error(tmp_path, capsys):
+    cfg = _write_yaml(tmp_path / "val.yaml", {
+        "problem": {"name": "euclidean_bilinear"},
+        "validators": {"manifolds": ["s2"], "probes": 5, "leg": "abc"},
+    })
+    assert main(["validate", cfg]) == 1
     assert "config error:" in capsys.readouterr().err
 
 

@@ -7,6 +7,7 @@ per-step inequalities their step sizes are supposed to certify.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ def _flat_F(A, v):
 
 def test_reg_step_hand_sequence():
     prob = _contraction_problem()
-    z_tilde, z1 = reg_step(prob, Point(prob.manifold, [1.0]), 0.1)
+    z0 = Point(prob.manifold, [1.0])
+    z_tilde, z1 = reg_step(prob, z0, 0.1, prob.field(z0), None)[:2]
     assert z_tilde.coords[0] == pytest.approx(0.9, abs=1e-15)
     assert z1.coords[0] == pytest.approx(0.91, abs=1e-15)
 
@@ -69,17 +71,20 @@ def test_reg_step_hand_sequence():
 def test_rpeg_step_two_hand_iterations():
     prob = _contraction_problem()
     z0 = Point(prob.manifold, [1.0])
-    z_tilde0, z1 = rpeg_step(prob, z0, z0, 0.1)      # z~_{-1} = z0
+    z_tilde0, z1 = rpeg_step(prob, z0, 0.1, None,
+                             (z0, prob.field(z0)))[:2]      # z~_{-1} = z0
     assert z_tilde0.coords[0] == pytest.approx(0.9, abs=1e-15)
     assert z1.coords[0] == pytest.approx(0.91, abs=1e-15)
-    z_tilde1, z2 = rpeg_step(prob, z1, z_tilde0, 0.1)
+    z_tilde1, z2 = rpeg_step(prob, z1, 0.1, None,
+                             (z_tilde0, prob.field(z_tilde0)))[:2]
     assert z_tilde1.coords[0] == pytest.approx(0.82, abs=1e-15)
     assert z2.coords[0] == pytest.approx(0.828, abs=1e-15)
 
 
 def test_rceg_step_hand_value():
     prob = _contraction_problem()
-    z_tilde, z1 = rceg_step(prob, Point(prob.manifold, [1.0]), 0.1)
+    z0 = Point(prob.manifold, [1.0])
+    z_tilde, z1 = rceg_step(prob, z0, 0.1, prob.field(z0), None)[:2]
     assert z_tilde.coords[0] == pytest.approx(0.9, abs=1e-15)
     assert z1.coords[0] == pytest.approx(0.91, abs=1e-15)
 
@@ -87,13 +92,15 @@ def test_rceg_step_hand_value():
 def test_rogda_step_hand_value():
     prob = _contraction_problem()
     z0 = Point(prob.manifold, [1.0])
-    z1 = rogda_step(prob, z0, z0, 0.1)      # 1 - 0.2 + 0.1
+    z1 = rogda_step(prob, z0, 0.1, prob.field(z0),
+                    (z0, prob.field(z0))).z_next      # 1 - 0.2 + 0.1
     assert z1.coords[0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_rgda_step_hand_value():
     prob = _contraction_problem()
-    z1 = rgda_step(prob, Point(prob.manifold, [1.0]), 0.1)
+    z0 = Point(prob.manifold, [1.0])
+    z1 = rgda_step(prob, z0, 0.1, prob.field(z0), None).z_next
     assert z1.coords[0] == pytest.approx(0.9, abs=1e-15)
 
 
@@ -101,9 +108,12 @@ def test_all_steps_fix_the_solution():
     prob = make_problem("decoupled_saddle", manifold="h2*h2")
     z = prob.solution
     eta = 0.05
-    for z_new in [reg_step(prob, z, eta)[1], rpeg_step(prob, z, z, eta)[1],
-                  rceg_step(prob, z, eta)[1], rogda_step(prob, z, z, eta),
-                  rgda_step(prob, z, eta)]:
+    f = prob.field(z)
+    for z_new in [reg_step(prob, z, eta, f, None).z_next,
+                  rpeg_step(prob, z, eta, None, (z, f)).z_next,
+                  rceg_step(prob, z, eta, f, None).z_next,
+                  rogda_step(prob, z, eta, f, (z, f)).z_next,
+                  rgda_step(prob, z, eta, f, None).z_next]:
         assert ops.distance(z_new, z) < 1e-12
 
 
@@ -113,7 +123,7 @@ def test_rgda_rotation_field_norm_grows_exactly():
     z = Point(prob.manifold, rng.normal(size=2))
     eta = 0.3
     for _ in range(50):
-        z_new = rgda_step(prob, z, eta)
+        z_new = rgda_step(prob, z, eta, prob.field(z), None).z_next
         grew = np.linalg.norm(z_new.coords) ** 2
         want = (1.0 + eta ** 2) * np.linalg.norm(z.coords) ** 2
         assert grew == pytest.approx(want, rel=1e-14)
@@ -130,7 +140,8 @@ def test_reg_reduces_to_flat_extragradient():
     for _ in range(100):
         v = rng.normal(size=6)
         eta = float(rng.uniform(0.01, 0.5))
-        _, z_new = reg_step(prob, Point(prob.manifold, v), eta)
+        z = Point(prob.manifold, v)
+        z_new = reg_step(prob, z, eta, prob.field(z), None).z_next
         v_tilde = v - eta * _flat_F(A, v)
         want = v - eta * _flat_F(A, v_tilde)
         np.testing.assert_allclose(z_new.coords, want, atol=1e-14)
@@ -142,7 +153,8 @@ def test_rceg_reduces_to_flat_extragradient():
     for _ in range(100):
         v = rng.normal(size=6)
         eta = float(rng.uniform(0.01, 0.5))
-        _, z_new = rceg_step(prob, Point(prob.manifold, v), eta)
+        z = Point(prob.manifold, v)
+        z_new = rceg_step(prob, z, eta, prob.field(z), None).z_next
         v_tilde = v - eta * _flat_F(A, v)
         want = v - eta * _flat_F(A, v_tilde)
         np.testing.assert_allclose(z_new.coords, want, atol=1e-14)
@@ -157,7 +169,8 @@ def test_rpeg_reduces_to_flat_past_extragradient():
     tilde_prev = z
     v_tilde_prev = v.copy()
     for _ in range(200):
-        z_tilde, z_new = rpeg_step(prob, z, tilde_prev, eta)
+        z_tilde, z_new = rpeg_step(prob, z, eta, None,
+                                   (tilde_prev, prob.field(tilde_prev)))[:2]
         v_tilde = v - eta * _flat_F(A, v_tilde_prev)
         v_new = v - eta * _flat_F(A, v_tilde)
         np.testing.assert_allclose(z_tilde.components
@@ -177,7 +190,8 @@ def test_rogda_reduces_to_flat_optimistic_update():
     z_prev = z
     w_prev = w.copy()
     for _ in range(200):
-        z_new = rogda_step(prob, z, z_prev, eta)
+        z_new = rogda_step(prob, z, eta, prob.field(z),
+                           (z_prev, prob.field(z_prev))).z_next
         w_new = w - 2.0 * eta * _flat_F(A, w) + eta * _flat_F(A, w_prev)
         np.testing.assert_allclose(z_new.coords, w_new, atol=1e-12)
         z_prev, z = z, z_new
@@ -199,7 +213,7 @@ def test_reg_half_iterate_sandwich_and_proximity(maker, kwargs):
     z = initial_point(prob, SolverConfig(seed=5))
     for _ in range(200):
         f_z = prob.field(z)
-        z_tilde, z_new = reg_step(prob, z, eta, f_z=f_z)
+        z_tilde, z_new = reg_step(prob, z, eta, f_z, None)[:2]
         f_tilde_norm = prob.field(z_tilde).norm()
         lo = (1.0 - L * eta) * f_z.norm() - 1e-10
         hi = (1.0 + L * eta) * f_z.norm() + 1e-10
@@ -217,7 +231,8 @@ def test_rpeg_half_iterate_norm_ratio():
     tilde_prev = z
     prev_norm = None
     for _ in range(300):
-        z_tilde, z_new = rpeg_step(prob, z, tilde_prev, eta)
+        z_tilde, z_new = rpeg_step(prob, z, eta, None,
+                                   (tilde_prev, prob.field(tilde_prev)))[:2]
         norm = prob.field(z_tilde).norm()
         if prev_norm is not None and prev_norm > 1e-12:
             ratio = norm / prev_norm
@@ -249,19 +264,63 @@ def test_record_schedule_and_sorted_t():
     assert len(ts) == 100 // 7 + 1          # every 7th step plus the last
 
 
-def test_rpeg_uses_one_field_evaluation_per_iteration():
+@pytest.mark.parametrize("method,evals", [
+    ("REG", 2 * 40 + 1), ("RPEG", 40 + 2), ("RCEG", 2 * 40 + 1),
+    ("ROGDA", 40 + 1), ("RGDA", 40 + 1),
+], ids=["REG", "RPEG", "RCEG", "ROGDA", "RGDA"])
+def test_field_evaluations_per_iteration(method, evals):
     prob = make_problem("decoupled_saddle", manifold="h2*h2")
     T = 40
-    config = SolverConfig(method="RPEG", T=T, record_every=10 ** 6,
+    config = SolverConfig(method=method, T=T, record_every=10 ** 6,
                           instruments=frozenset())
     before = prob.evals                     # construction-gate evaluations
     trace = run(prob, config)
-    # one warm-up eval, one per iteration, one for the final record
-    assert prob.evals - before == T + 2
-    assert trace.field_evals == T + 2
+    # F(z_0), then the method's fresh evaluations; RPEG alone needs no F(z_t)
+    # until the final record, so it makes one evaluation per iteration
+    assert prob.evals - before == evals
+    assert trace.field_evals == evals
     # a second run on the same problem counts only its own evaluations
     again = run(prob, config)
-    assert again.field_evals == T + 2
+    assert again.field_evals == evals
+
+
+def _flat_recursion(method, A, v0, eta, T):
+    """Plain-numpy iterates z_1..z_T of the Euclidean method on F = (Ay, -A^T x)."""
+    v, v_prev = v0.copy(), v0.copy()      # v_prev: past half-iterate / iterate
+    out = []
+    for _ in range(T):
+        if method in ("REG", "RCEG"):
+            v_new = v - eta * _flat_F(A, v - eta * _flat_F(A, v))
+        elif method == "RPEG":
+            v_prev = v - eta * _flat_F(A, v_prev)
+            v_new = v - eta * _flat_F(A, v_prev)
+        elif method == "ROGDA":
+            v_new = v - 2.0 * eta * _flat_F(A, v) + eta * _flat_F(A, v_prev)
+            v_prev = v
+        else:  # RGDA
+            v_new = v - eta * _flat_F(A, v)
+        v = v_new
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("method", ["REG", "RPEG", "RCEG", "ROGDA", "RGDA"])
+def test_driver_matches_flat_recursion(method):
+    rng = np.random.default_rng(11)
+    prob, A = _matrix_problem(rng)
+    v0 = rng.normal(size=6)
+    v0 *= 0.5 * prob.region_radius / np.linalg.norm(v0)
+    eta, T = 0.1 / prob.lipschitz, 60
+    trace = run(prob, SolverConfig(method=method, T=T, eta=eta, record_every=3),
+                z0=Point(prob.manifold, v0))
+    want = _flat_recursion(method, A, v0, eta, T)
+    assert [r.t for r in trace.records] == list(range(3, T + 1, 3))
+    for rec in trace.records:
+        v = want[rec.t - 1]
+        assert rec.dist == pytest.approx(np.linalg.norm(v), rel=0, abs=1e-12)
+        assert rec.op_norm == pytest.approx(np.linalg.norm(_flat_F(A, v)),
+                                            rel=0, abs=1e-12)
+    np.testing.assert_allclose(trace.final.coords, want[-1], rtol=0, atol=1e-12)
 
 
 def test_reg_run_zero_violations_on_flat_bilinear():
@@ -425,9 +484,12 @@ def test_overflowing_iterate_aborts_with_full_trace():
         name="blowup", manifold=m,
         field=lambda z: Tangent(z, np.full(2, 1e300)),
         solution=None, region_radius=1.0, lipschitz=1.0, grad_bound=1.0)
-    with pytest.raises(SolverAbort) as err:
-        run(prob, SolverConfig(method="RGDA", T=5, eta=1e10),
-            z0=Point(m, [0.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverAbort) as err:
+            run(prob, SolverConfig(method="RGDA", T=5, eta=1e10),
+                z0=Point(m, [0.0, 0.0]))
+    assert [str(w.message) for w in caught] == []   # the abort is the report
     trace = err.value.trace
     assert trace.aborted
     assert "finite" in trace.abort_reason
