@@ -21,7 +21,7 @@ import yaml
 
 from ..exceptions import ConfigError, is_strictly, require as _require
 from ..geometry.probes import CHECKS
-from ..problems import list_problems
+from ..problems import list_problems, manifold_from_spec
 from ..solvers import SolverConfig
 
 __all__ = ["ExperimentConfig", "ValidatorSpec", "load_config_file",
@@ -73,7 +73,8 @@ def apply_overrides(mapping: dict, overrides) -> dict:
 class ValidatorSpec:
     """Geometry-validator sweep request: which manifolds, which checks, how many.
 
-    A bad setting raises ConfigError when the spec is built.
+    A bad setting raises ConfigError when the spec is built.  Each manifold
+    spec is parsed then, too, and ``parsed`` holds the manifolds it names.
     """
 
     manifolds: tuple[str, ...]
@@ -86,6 +87,8 @@ class ValidatorSpec:
         _require(isinstance(self.manifolds, (list, tuple)) and len(self.manifolds) > 0,
                  "validators.manifolds must be a nonempty list of manifold specs")
         object.__setattr__(self, "manifolds", tuple(str(m) for m in self.manifolds))
+        object.__setattr__(self, "parsed",
+                           tuple(manifold_from_spec(m) for m in self.manifolds))
         checks = self.checks if isinstance(self.checks, (list, tuple)) else [self.checks]
         bad = [c for c in checks if c not in CHECKS]
         _require(not bad, f"unknown checks {bad}; valid checks: {sorted(CHECKS)}")

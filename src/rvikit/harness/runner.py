@@ -18,7 +18,7 @@ import numpy as np
 from ..exceptions import DomainError, SolverAbort
 from ..geometry.constants import GeometryBounds
 from ..geometry.probes import run_sweep, write_sweep_csv
-from ..problems import VectorFieldProblem, make_problem, manifold_from_spec
+from ..problems import VectorFieldProblem, make_problem
 from ..solvers import RunTrace, SolverConfig, run
 from .config import ExperimentConfig, ValidatorSpec
 from .rates import default_burn_in, fit_rate
@@ -86,9 +86,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Exit code 0 when every run finished with zero guarantee violations,
     2 when any violation counter is nonzero, 3 when any run aborted.
     """
+    prob = make_problem(cfg.problem_name, **cfg.problem_params)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prob = make_problem(cfg.problem_name, **cfg.problem_params)
     bounds = prob.bounds()
     results: dict[str, dict] = {}
     csv_paths: list[Path] = []
@@ -172,8 +172,7 @@ def run_validators(spec: ValidatorSpec,
         out_dir.mkdir(parents=True, exist_ok=True)
     for ci, check in enumerate(spec.checks):
         rows = [] if out_dir is not None else None
-        for mi, mspec in enumerate(spec.manifolds):
-            m = manifold_from_spec(mspec)
+        for mi, (mspec, m) in enumerate(zip(spec.manifolds, spec.parsed)):
             rng = np.random.default_rng([spec.seed, ci, mi])
             summary = run_sweep(m, check, spec.probes, rng, leg=spec.leg,
                                 collect_rows=rows)

@@ -12,12 +12,9 @@ from .ops import (
     geodesic_average_update,
     inner,
     log_map,
-    point_from_list,
-    point_to_list,
     random_point,
     random_tangent,
     transport,
-    zero_tangent,
 )
 
 __all__ = [
@@ -26,6 +23,5 @@ __all__ = [
     "Euclidean", "Sphere", "Hyperboloid", "SPD", "Product", "minkowski",
     "GeodesicAverage", "geodesic_average_update",
     "exp_map", "log_map", "transport", "distance", "inner",
-    "zero_tangent", "random_point", "random_tangent", "ball_point",
-    "point_to_list", "point_from_list",
+    "random_point", "random_tangent", "ball_point",
 ]

@@ -1,14 +1,22 @@
 """Typed points and tangents over a small family of Riemannian manifolds.
 
 Every manifold works on flat ``float64`` coordinate vectors (matrices are
-stored row-major) so that products, serialization and random sampling are
-uniform.  The :class:`Point` / :class:`Tangent` wrappers pin coordinates to
-a manifold (and tangents to a base point) and enforce the representation
-invariants at construction:
+stored row-major) so that products and random sampling are uniform.  The
+:class:`Point` / :class:`Tangent` wrappers pin coordinates to a manifold
+(and tangents to a base point).  Each contract decision is made in one
+place:
 
-* defect <= 1e-10        accepted as-is,
-* defect  < 1e-8         silently re-projected onto the manifold,
-* defect >= 1e-8         :class:`~rvikit.exceptions.ContractViolation`.
+* every ``Point`` and ``Tangent`` construction checks that its numbers
+  are finite and applies the defect policy:
+
+  - defect <= 1e-10      accepted as-is,
+  - defect  < 1e-8       silently re-projected onto the manifold,
+  - defect >= 1e-8       :class:`~rvikit.exceptions.ContractViolation`;
+
+* the typed operations in :mod:`rvikit.manifolds.ops` (and tangent
+  arithmetic here) check that bases and manifolds match;
+* :meth:`Manifold.norm` and :func:`rvikit.manifolds.ops.distance` check
+  that their results are finite.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ BASE_MATCH_TOL = 1e-12
 
 def _as_vector(coords) -> np.ndarray:
     arr = np.asarray(coords, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolation("coordinates must be finite")
     return arr
 
@@ -133,7 +141,8 @@ class Manifold(abc.ABC):
         return (type(self).__name__,)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Manifold) and self._signature() == other._signature()
+        return other is self or (isinstance(other, Manifold)
+                                 and self._signature() == other._signature())
 
     def __hash__(self) -> int:
         return hash(self._signature())
@@ -143,14 +152,13 @@ class Manifold(abc.ABC):
         return f"{name}({', '.join(map(str, params))})"
 
 
-def _checked_point(manifold: Manifold, coords: np.ndarray) -> np.ndarray:
-    defect = manifold.point_defect(coords)
+def _checked(manifold: Manifold, what: str, defect_of, project, *args) -> np.ndarray:
+    """``args[-1]`` under the defect policy: accepted, re-projected or refused."""
+    defect = defect_of(*args)
     if defect >= REPROJECT_TOL:
         raise ContractViolation(
-            f"point defect {defect:.3e} on {manifold!r} exceeds {REPROJECT_TOL:g}")
-    if defect > STRICT_TOL:
-        coords = manifold.project(coords)
-    return coords
+            f"{what} defect {defect:.3e} on {manifold!r} exceeds {REPROJECT_TOL:g}")
+    return project(*args) if defect > STRICT_TOL else args[-1]
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,16 @@ class Point:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = _checked_point(self.manifold, _as_vector(self.coords))
+        m = self.manifold
+        coords = _checked(m, "point", m.point_defect, m.project, _as_vector(self.coords))
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     def same_base(self, other: "Point") -> bool:
-        return (self.manifold == other.manifold
-                and self.coords.shape == other.coords.shape
-                and float(np.max(np.abs(self.coords - other.coords))) <= BASE_MATCH_TOL)
+        return other is self or (
+            self.manifold == other.manifold
+            and self.coords.shape == other.coords.shape
+            and float(np.max(np.abs(self.coords - other.coords))) <= BASE_MATCH_TOL)
 
     def __repr__(self) -> str:
         return f"Point({self.manifold!r}, {np.array2string(self.coords, precision=6)})"
@@ -182,14 +192,9 @@ class Tangent:
     components: np.ndarray
 
     def __post_init__(self):
-        comp = _as_vector(self.components)
-        man, x = self.base.manifold, self.base.coords
-        defect = man.tangent_defect(x, comp)
-        if defect >= REPROJECT_TOL:
-            raise ContractViolation(
-                f"tangent defect {defect:.3e} on {man!r} exceeds {REPROJECT_TOL:g}")
-        if defect > STRICT_TOL:
-            comp = man.project_tangent(x, comp)
+        m = self.base.manifold
+        comp = _checked(m, "tangent", m.tangent_defect, m.project_tangent,
+                        self.base.coords, _as_vector(self.components))
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
 
@@ -209,7 +214,9 @@ class Tangent:
         return Tangent(self.base, self.components + other.components)
 
     def __sub__(self, other: "Tangent") -> "Tangent":
-        return self.__add__(-other)
+        if not self.base.same_base(other.base):
+            raise ContractViolation("cannot subtract tangents with different bases")
+        return Tangent(self.base, self.components - other.components)
 
     def __mul__(self, scalar: float) -> "Tangent":
         return Tangent(self.base, self.components * float(scalar))

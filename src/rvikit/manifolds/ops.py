@@ -70,10 +70,6 @@ def distance(p: Point, q: Point) -> float:
     return d
 
 
-def zero_tangent(p: Point) -> Tangent:
-    return Tangent(p, np.zeros(p.manifold.ambient))
-
-
 def random_point(m: Manifold, rng: np.random.Generator) -> Point:
     return Point(m, m.random_point(rng))
 
@@ -116,16 +112,3 @@ def geodesic_average_update(state: GeodesicAverage, z: Point) -> GeodesicAverage
         raise AveragingError(f"geodesic average update undefined: {err}") from err
     new_mean = exp_map(state.mean, step * (1.0 / k))
     return GeodesicAverage(mean=new_mean, count=k)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def point_to_list(p: Point) -> list[float]:
-    """JSON-friendly coordinates (matrices already row-major flattened)."""
-    return [float(c) for c in p.coords]
-
-
-def point_from_list(m: Manifold, values) -> Point:
-    return Point(m, np.asarray(values, dtype=float))

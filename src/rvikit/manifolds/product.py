@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .base import Manifold
@@ -16,13 +18,11 @@ class Product(Manifold):
     """
 
     def __init__(self, *parts):
-        if len(parts) == 1 and not isinstance(parts[0], Manifold):
-            parts = tuple(parts[0])
         if not parts:
             raise ValueError("a product needs at least one part")
         if not all(isinstance(p, Manifold) for p in parts):
             raise TypeError("product parts must be manifolds")
-        self.parts = tuple(parts)
+        self.parts = parts
         self.dim = sum(p.dim for p in parts)
         self.ambient = sum(p.ambient for p in parts)
         lo = min(p.curvature_lo for p in parts)
@@ -31,7 +31,8 @@ class Product(Manifold):
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         self.curvature_lo = lo
         self.curvature_hi = hi
-        self._offsets = np.cumsum([0] + [p.ambient for p in parts])
+        ends = list(accumulate(p.ambient for p in parts))
+        self._slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     def _signature(self):
         return ("Product",) + tuple(p._signature() for p in self.parts)
@@ -40,48 +41,45 @@ class Product(Manifold):
         return " x ".join(repr(p) for p in self.parts)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x[self._offsets[i]:self._offsets[i + 1]]
-                for i in range(len(self.parts))]
+        return [x[s] for s in self._slices]
 
     def join(self, pieces) -> np.ndarray:
         return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
                                for p in pieces])
 
+    def _partwise(self, kernel: str, *arrays) -> list:
+        """Each part's ``kernel`` on its slices of ``arrays``, in part order."""
+        return [getattr(p, kernel)(*[a[s] for a in arrays])
+                for p, s in zip(self.parts, self._slices)]
+
     # -- representation --------------------------------------------------
     def point_defect(self, x):
-        return max(p.point_defect(xi) for p, xi in zip(self.parts, self.split(x)))
+        return max(self._partwise("point_defect", x))
 
     def project(self, x):
-        return self.join(p.project(xi) for p, xi in zip(self.parts, self.split(x)))
+        return self.join(self._partwise("project", x))
 
     def tangent_defect(self, x, v):
-        return max(p.tangent_defect(xi, vi) for p, xi, vi
-                   in zip(self.parts, self.split(x), self.split(v)))
+        return max(self._partwise("tangent_defect", x, v))
 
     def project_tangent(self, x, v):
-        return self.join(p.project_tangent(xi, vi) for p, xi, vi
-                         in zip(self.parts, self.split(x), self.split(v)))
+        return self.join(self._partwise("project_tangent", x, v))
 
     # -- geometry ---------------------------------------------------------
     def exp(self, x, v):
-        return self.join(p.exp(xi, vi) for p, xi, vi
-                         in zip(self.parts, self.split(x), self.split(v)))
+        return self.join(self._partwise("exp", x, v))
 
     def log(self, x, y):
-        return self.join(p.log(xi, yi) for p, xi, yi
-                         in zip(self.parts, self.split(x), self.split(y)))
+        return self.join(self._partwise("log", x, y))
 
     def transport(self, x, y, u):
-        return self.join(p.transport(xi, yi, ui) for p, xi, yi, ui
-                         in zip(self.parts, self.split(x), self.split(y), self.split(u)))
+        return self.join(self._partwise("transport", x, y, u))
 
     def inner(self, x, u, v):
-        return sum(p.inner(xi, ui, vi) for p, xi, ui, vi
-                   in zip(self.parts, self.split(x), self.split(u), self.split(v)))
+        return sum(self._partwise("inner", x, u, v))
 
     def dist(self, x, y):
-        return float(np.sqrt(sum(p.dist(xi, yi) ** 2 for p, xi, yi
-                                 in zip(self.parts, self.split(x), self.split(y)))))
+        return float(np.sqrt(sum(d ** 2 for d in self._partwise("dist", x, y))))
 
     def random_point(self, rng):
         return self.join(p.random_point(rng) for p in self.parts)

@@ -1,7 +1,7 @@
 """Named problem constructors with certified solutions and region bounds.
 
-Every constructor is deterministic given its parameters (randomness flows
-through an explicit ``seed``) and returns a
+Every constructor is deterministic given its parameters (one that draws
+random numbers takes them from an explicit ``seed``) and returns a
 :class:`~rvikit.problems.core.VectorFieldProblem` whose declared solution
 passes the ||F(z*)|| < 1e-8 gate and whose stated L/G bounds dominate
 sampled estimates on the operating region.
@@ -91,8 +91,7 @@ def _anchor(m: Manifold) -> Point:
 
 @register("euclidean_bilinear")
 def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
-                       s_min: float = 0.008, s_max: float = 1.0,
-                       seed: int = 0) -> VectorFieldProblem:
+                       s_min: float = 0.008, s_max: float = 1.0) -> VectorFieldProblem:
     """f(x, y) = x^T A y on R^dim x R^dim; the canonical flat skew field.
 
     The default coupling matrix is diagonal with log-spaced singular
@@ -131,7 +130,7 @@ def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
         name="euclidean_bilinear", manifold=manifold, field=field,
         solution=sol, region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
         objective=obj, exact_gap=exact_gap,
-        params={"dim": dx, "s_min": s_min, "s_max": s_max, "seed": seed})
+        params={"dim": dx, "s_min": s_min, "s_max": s_max})
 
 
 def equal_energy_start(prob: VectorFieldProblem, frac: float = 0.9) -> Point:

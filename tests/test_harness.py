@@ -193,9 +193,10 @@ def test_validator_spec_validation():
 
 
 @pytest.mark.parametrize("bad", [{"probes": -3}, {"leg": -1.0},
-                                 {"checks": ("nope",)}, {"seed": -1}],
+                                 {"checks": ("nope",)}, {"seed": -1},
+                                 {"manifolds": ("spd2", "x9")}],
                          ids=["negative-probes", "negative-leg", "unknown-check",
-                              "negative-seed"])
+                              "negative-seed", "bad-manifold-spec"])
 def test_validator_spec_built_directly_is_validated(bad):
     settings = {"manifolds": ("s2",), "checks": ("distance_comparison",),
                 "probes": 5, **bad}
@@ -425,6 +426,7 @@ def test_cli_unknown_problem_parameter_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "bogus" in err and "region_radius" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate_unparsable_leg_is_config_error(tmp_path, capsys):

@@ -233,6 +233,13 @@ def test_make_problem_unknown_name():
     assert "euclidean_bilinear" in str(err.value)
 
 
+def test_euclidean_bilinear_takes_no_seed():
+    # the problem draws no random numbers, so a seed would change nothing
+    with pytest.raises(ConfigError) as err:
+        make_problem("euclidean_bilinear", seed=1)
+    assert "seed" in str(err.value) and "region_radius" in str(err.value)
+
+
 def test_list_problems_is_sorted_catalog():
     names = list_problems()
     assert names == sorted(names)
