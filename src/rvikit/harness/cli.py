@@ -21,7 +21,8 @@ import sys
 from ..exceptions import ConfigError, DomainError, SolverAbort
 from ..problems import list_problems
 from ..solvers import METHODS
-from .config import ValidatorSpec, apply_overrides, load_config_file, parse_mapping
+from .config import (ValidatorSpec, apply_overrides, load_config_file, parse_mapping,
+                     parse_problem_section)
 from .rates import fit_rate_points, load_trace_csv
 from .runner import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, run_experiment, run_validators
 
@@ -87,6 +88,8 @@ def _cmd_validate(args) -> int:
     section = mapping.get("validators")
     if section is None:
         raise ConfigError("config has no validators section")
+    if "problem" in mapping:
+        parse_problem_section(mapping["problem"])
     spec = ValidatorSpec.from_mapping(section)
     report = run_validators(spec, output_dir=args.output_dir)
     for entry in report.entries:

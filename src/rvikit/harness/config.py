@@ -21,11 +21,11 @@ import yaml
 
 from ..exceptions import ConfigError, is_strictly, require as _require
 from ..geometry.probes import CHECKS
-from ..problems import list_problems, manifold_from_spec
+from ..problems import check_problem, manifold_from_spec
 from ..solvers import SolverConfig
 
 __all__ = ["ExperimentConfig", "ValidatorSpec", "load_config_file",
-           "apply_overrides", "parse_mapping"]
+           "apply_overrides", "parse_mapping", "parse_problem_section"]
 
 
 def load_config_file(path) -> dict:
@@ -67,6 +67,18 @@ def apply_overrides(mapping: dict, overrides) -> dict:
             node = nxt
         node[parts[-1]] = value
     return out
+
+
+def parse_problem_section(section) -> tuple[str, dict]:
+    """The (name, params) of a config's ``problem`` section, checked but not built."""
+    _require(isinstance(section, dict) and "name" in section,
+             "config needs a problem section with a name")
+    extra = set(section) - {"name", "params"}
+    _require(not extra, f"unknown problem keys: {sorted(extra)}")
+    params = section.get("params", {})
+    _require(isinstance(params, dict), "problem.params must be a mapping")
+    check_problem(section["name"], params)
+    return section["name"], dict(params)
 
 
 @dataclass(frozen=True)
@@ -150,16 +162,7 @@ class ExperimentConfig:
         unknown = set(mapping) - known
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-        problem = mapping.get("problem")
-        _require(isinstance(problem, dict) and "name" in problem,
-                 "config needs a problem section with a name")
-        name = problem["name"]
-        _require(name in list_problems(),
-                 f"unknown problem {name!r}; valid problems: {list_problems()}")
-        params = problem.get("params", {})
-        _require(isinstance(params, dict), "problem.params must be a mapping")
-        extra = set(problem) - {"name", "params"}
-        _require(not extra, f"unknown problem keys: {sorted(extra)}")
+        name, params = parse_problem_section(mapping.get("problem"))
 
         methods = mapping.get("methods", [])
         if isinstance(methods, str):
@@ -195,7 +198,7 @@ class ExperimentConfig:
         if mapping.get("validators") is not None:
             ValidatorSpec.from_mapping(mapping["validators"])
 
-        cfg = cls(problem_name=name, problem_params=dict(params),
+        cfg = cls(problem_name=name, problem_params=params,
                   methods=tuple(methods), etas=etas, seeds=tuple(seeds),
                   output_dir=Path(mapping.get("output_dir", "out")),
                   solver=SolverConfig(**settings))

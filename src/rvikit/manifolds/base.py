@@ -13,6 +13,9 @@ place:
   - defect  < 1e-8       silently re-projected onto the manifold,
   - defect >= 1e-8       :class:`~rvikit.exceptions.ContractViolation`;
 
+  a saddle's block gradients are checked once, as the field's output
+  (:func:`rvikit.problems.saddle_to_field`);
+
 * the typed operations in :mod:`rvikit.manifolds.ops` (and tangent
   arithmetic here) check that bases and manifolds match;
 * :meth:`Manifold.norm` and :func:`rvikit.manifolds.ops.distance` check

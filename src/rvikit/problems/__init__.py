@@ -5,14 +5,11 @@ from .core import (
     VectorFieldProblem,
     check_assumptions,
     duality_gap,
-    gap_from_field_bound,
-    hamiltonian,
-    join_saddle,
-    product_field,
     saddle_to_field,
     split_saddle,
 )
 from .catalog import (
+    check_problem,
     equal_energy_start,
     list_problems,
     make_problem,
@@ -21,7 +18,7 @@ from .catalog import (
 
 __all__ = [
     "SaddleObjective", "VectorFieldProblem", "AssumptionReport", "GapEstimate",
-    "saddle_to_field", "product_field", "split_saddle", "join_saddle",
-    "check_assumptions", "hamiltonian", "duality_gap", "gap_from_field_bound",
-    "make_problem", "list_problems", "manifold_from_spec", "equal_energy_start",
+    "saddle_to_field", "split_saddle", "check_assumptions", "duality_gap",
+    "check_problem", "make_problem", "list_problems", "manifold_from_spec",
+    "equal_energy_start",
 ]

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import re
 
 import numpy as np
 
-from ..exceptions import ConfigError, ContractViolation, require
+from ..exceptions import (ConfigError, ContractViolation, InjectivityError, is_strictly,
+                          require)
 from ..geometry.constants import zeta
 from ..manifolds import ops
 from ..manifolds.base import Manifold, Point, Tangent
@@ -28,7 +30,7 @@ from .core import (
     SaddleObjective,
     VectorFieldProblem,
     check_assumptions,
-    product_field,
+    saddle_to_field,
 )
 
 _REGISTRY: dict = {}
@@ -46,16 +48,24 @@ def list_problems() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_problem(name: str, **params) -> VectorFieldProblem:
-    """Instantiate a registered problem by name."""
-    if name not in _REGISTRY:
-        raise ConfigError(
+def check_problem(name, params: dict) -> None:
+    """Check that problem ``name`` exists and takes ``params``, without building it."""
+    require(isinstance(name, str) and name in _REGISTRY,
             f"unknown problem {name!r}; available: {', '.join(list_problems())}")
     valid = list(inspect.signature(_REGISTRY[name]).parameters)
     unknown = sorted(set(params) - set(valid))
     require(not unknown, f"unknown parameters {unknown} for problem {name!r}; "
                          f"valid parameters: {valid}")
-    return _REGISTRY[name](**params)
+
+
+def make_problem(name: str, **params) -> VectorFieldProblem:
+    """Build a registered problem; bad geometry from ``params`` is a ConfigError."""
+    check_problem(name, params)
+    try:
+        return _REGISTRY[name](**params)
+    except (ContractViolation, InjectivityError) as exc:
+        raise ConfigError(
+            f"problem {name!r} cannot be built from {params}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +86,12 @@ def manifold_from_spec(spec) -> Manifold:
         if not m:
             raise ConfigError(f"bad manifold atom {a!r} in {spec!r}")
         kind, d = m.group(1), int(m.group(2))
-        built.append({"e": Euclidean, "s": Sphere, "h": Hyperboloid,
-                      "spd": SPD}[kind](d))
+        try:
+            built.append({"e": Euclidean, "s": Sphere, "h": Hyperboloid,
+                          "spd": SPD}[kind](d))
+        except ValueError as exc:   # below the manifold's minimum size
+            raise ConfigError(
+                f"bad manifold atom {a!r} in {spec!r}: {exc}") from None
     return built[0] if len(built) == 1 else Product(*built)
 
 
@@ -99,6 +113,8 @@ def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
     frequencies so last-iterate norms display their sustained power-law
     decay rather than the single-mode linear rate.
     """
+    require(is_strictly(dim, numbers.Integral) and dim >= 1,
+            f"dim must be an integer >= 1, got {dim!r}")
     if matrix is not None:
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2:
@@ -115,22 +131,19 @@ def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
     obj = SaddleObjective(
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: float(x.coords @ A @ y.coords),
-        grad_x=lambda x, y: Tangent(x, A @ y.coords),
-        grad_y=lambda x, y: Tangent(y, A.T @ x.coords),
+        grad_x=lambda x, y: A @ y.coords,
+        grad_y=lambda x, y: A.T @ x.coords,
     )
-    manifold, field = product_field(obj)
-    sol = _anchor(manifold)
 
     def exact_gap(z: Point, radius: float) -> float:
-        xc, yc = manifold.split(z.coords)
+        xc, yc = z.manifold.split(z.coords)
         return radius * (float(np.linalg.norm(A.T @ xc))
                          + float(np.linalg.norm(A @ yc)))
 
-    return VectorFieldProblem(
-        name="euclidean_bilinear", manifold=manifold, field=field,
-        solution=sol, region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
-        objective=obj, exact_gap=exact_gap,
-        params={"dim": dx, "s_min": s_min, "s_max": s_max})
+    return saddle_to_field(
+        obj, name="euclidean_bilinear", solution=(_anchor(mx), _anchor(my)),
+        region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
+        exact_gap=exact_gap, params={"dim": dx, "s_min": s_min, "s_max": s_max})
 
 
 def equal_energy_start(prob: VectorFieldProblem, frac: float = 0.9) -> Point:
@@ -185,23 +198,20 @@ def decoupled_saddle(manifold="h2*h2", region_radius: float = 1.0,
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: 0.5 * (ops.distance(x, x_star) ** 2
                                   - ops.distance(y, y_star) ** 2),
-        grad_x=lambda x, y: -1.0 * ops.log_map(x, x_star),
-        grad_y=lambda x, y: ops.log_map(y, y_star),
+        grad_x=lambda x, y: -mx.log(x.coords, x_star.coords),
+        grad_y=lambda x, y: my.log(y.coords, y_star.coords),
     )
-    manifold_, field = product_field(obj)
-    sol = Point(manifold_, manifold_.join([x_star.coords, y_star.coords]))
-
     L = max(1.0, zeta(man.curvature_lo, reach))
 
     def exact_gap(z: Point, radius: float) -> float:
-        xc, yc = manifold_.split(z.coords)
+        xc, yc = man.split(z.coords)
         return 0.5 * (mx.dist(xc, x_star.coords) ** 2
                       + my.dist(yc, y_star.coords) ** 2)
 
-    return VectorFieldProblem(
-        name="decoupled_saddle", manifold=manifold_, field=field,
-        solution=sol, region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
-        objective=obj, exact_gap=exact_gap,
+    return saddle_to_field(
+        obj, name="decoupled_saddle", solution=(x_star, y_star),
+        region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
+        exact_gap=exact_gap,
         params={"manifold": str(manifold), "region_radius": D,
                 "center_offset": center_offset, "seed": seed})
 
@@ -294,27 +304,24 @@ def sphere_bilinear(dim_x: int = 2, dim_y: int = 2, scale: float = 1.0,
                 + 0.5 * mu * (ops.distance(x, x_star) ** 2
                               - ops.distance(y, y_star) ** 2))
 
-    def grad_x(x: Point, y: Point) -> Tangent:
+    def grad_x(x: Point, y: Point) -> np.ndarray:
         g = mx.project_tangent(x.coords, A @ y.coords)
-        return Tangent(x, g) - mu * ops.log_map(x, x_star)
+        return g - mu * mx.log(x.coords, x_star.coords)
 
-    def grad_y(x: Point, y: Point) -> Tangent:
+    def grad_y(x: Point, y: Point) -> np.ndarray:
         g = my.project_tangent(y.coords, A.T @ x.coords)
-        return Tangent(y, g) + mu * ops.log_map(y, y_star)
+        return g + mu * my.log(y.coords, y_star.coords)
 
     obj = SaddleObjective(manifold_x=mx, manifold_y=my, value=value,
                           grad_x=grad_x, grad_y=grad_y)
-    manifold_, field = product_field(obj)
-    sol = Point(manifold_, manifold_.join([x_star.coords, y_star.coords]))
     L = 3.0 * scale + mu
 
     D = float(region_radius)
     last_report = None
     for _ in range(max_shrinks + 1):
-        prob = VectorFieldProblem(
-            name="sphere_bilinear", manifold=manifold_, field=field,
-            solution=sol, region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
-            objective=obj,
+        prob = saddle_to_field(
+            obj, name="sphere_bilinear", solution=(x_star, y_star),
+            region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
             params={"dim_x": dim_x, "dim_y": dim_y, "scale": scale,
                     "mu": mu, "region_radius": D, "seed": seed})
         last_report = check_assumptions(
@@ -333,25 +340,24 @@ def sphere_bilinear(dim_x: int = 2, dim_y: int = 2, scale: float = 1.0,
 # hyperbolic_rmean_saddle
 # ---------------------------------------------------------------------------
 
-def _log_differential_adjoint(man: Hyperboloid, c: Point, x: Point,
-                              u: Tangent) -> Tangent:
+def _log_differential_adjoint(man: Hyperboloid, c: np.ndarray, x: np.ndarray,
+                              u: np.ndarray) -> np.ndarray:
     """Gradient (in x) of x -> <log_c x, u>_c on hyperbolic space.
 
     With v = log_c x, r = ||v||, the adjoint of the inverse exponential's
     differential scales the component of u orthogonal to v by r/sinh(r)
     and parallel-transports the result from c to x.
     """
-    v = man.log(c.coords, x.coords)
+    v = man.log(c, x)
     r = math.sqrt(max(minkowski(v, v), 0.0))
     if r < 1e-14:
-        return ops.transport(c, x, u)
+        return man.transport(c, x, u)
     e = v / r
-    a = minkowski(u.components, e)
+    a = minkowski(u, e)
     par = a * e
-    perp = u.components - par
+    perp = u - par
     shrink = r / math.sinh(r)
-    w = Tangent(c, par + shrink * perp)
-    return ops.transport(c, x, w)
+    return man.transport(c, x, par + shrink * perp)
 
 
 @register("hyperbolic_rmean_saddle")
@@ -367,6 +373,8 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
     at (c, c), and for beta well below min(1, alpha) the field stays
     strongly monotone on the region.
     """
+    require(is_strictly(n_points, numbers.Integral) and n_points >= 2,
+            f"n_points must be an integer >= 2, got {n_points!r}")
     man_part = Hyperboloid(d)
     c = _anchor(man_part)
     rng = np.random.default_rng(seed)
@@ -377,28 +385,26 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
 
     def value(x: Point, y: Point) -> float:
         fit = sum(ops.distance(x, p) ** 2 for p in pts) / (2 * len(pts))
-        lx = Tangent(c, man_part.log(c.coords, x.coords))
-        ly = Tangent(c, man_part.log(c.coords, y.coords))
-        return (fit + beta * ops.inner(lx, ly)
+        lx = man_part.log(c.coords, x.coords)
+        ly = man_part.log(c.coords, y.coords)
+        return (fit + beta * man_part.inner(c.coords, lx, ly)
                 - 0.5 * alpha * ops.distance(y, c) ** 2)
 
-    def grad_x(x: Point, y: Point) -> Tangent:
+    def grad_x(x: Point, y: Point) -> np.ndarray:
         acc = np.zeros(man_part.ambient)
         for p in pts:
             acc += man_part.log(x.coords, p.coords)
-        ly = Tangent(c, man_part.log(c.coords, y.coords))
-        coup = _log_differential_adjoint(man_part, c, x, ly)
-        return Tangent(x, -acc / len(pts)) + beta * coup
+        ly = man_part.log(c.coords, y.coords)
+        coup = _log_differential_adjoint(man_part, c.coords, x.coords, ly)
+        return -acc / len(pts) + beta * coup
 
-    def grad_y(x: Point, y: Point) -> Tangent:
-        lx = Tangent(c, man_part.log(c.coords, x.coords))
-        coup = _log_differential_adjoint(man_part, c, y, lx)
-        return beta * coup + alpha * ops.log_map(y, c)
+    def grad_y(x: Point, y: Point) -> np.ndarray:
+        lx = man_part.log(c.coords, x.coords)
+        coup = _log_differential_adjoint(man_part, c.coords, y.coords, lx)
+        return beta * coup + alpha * man_part.log(y.coords, c.coords)
 
     obj = SaddleObjective(manifold_x=man_part, manifold_y=man_part,
                           value=value, grad_x=grad_x, grad_y=grad_y)
-    manifold_, field = product_field(obj)
-    sol = Point(manifold_, manifold_.join([c.coords, c.coords]))
 
     D = float(region_radius)
     reach = 1.2 * D
@@ -406,9 +412,8 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
     L = (zeta(-1.0, data_reach) + alpha * zeta(-1.0, reach)
          + beta * (2.0 + math.cosh(reach)))
 
-    return VectorFieldProblem(
-        name="hyperbolic_rmean_saddle", manifold=manifold_, field=field,
-        solution=sol, region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
-        objective=obj,
+    return saddle_to_field(
+        obj, name="hyperbolic_rmean_saddle", solution=(c, c),
+        region_radius=D, lipschitz=L, grad_bound=L * 1.2 * D,
         params={"d": d, "n_points": n_points, "spread": spread, "beta": beta,
                 "alpha": alpha, "region_radius": D, "seed": seed})

@@ -5,7 +5,7 @@ A variational-inequality instance is a manifold plus an operator
 vanishes), a region radius D, and bounds L (Lipschitz modulus under
 parallel transport) and G (field norm) valid on the ball of radius 6D/5
 around z*.  Saddle problems additionally carry the min-max objective the
-field was derived from, which unlocks Hamiltonian and duality-gap metrics.
+field was derived from, which unlocks the duality-gap metric.
 """
 
 from __future__ import annotations
@@ -28,13 +28,17 @@ MONOTONE_TOL = -1e-8      # sampled monotonicity gaps below this count as violat
 
 @dataclass(frozen=True)
 class SaddleObjective:
-    """A two-block min-max objective f(x, y): min over x, max over y."""
+    """A two-block min-max objective f(x, y): min over x, max over y.
+
+    ``grad_x``/``grad_y`` take the block points and return the coordinates
+    of the block gradient, tangent at x/y; the field checks them once.
+    """
 
     manifold_x: Manifold
     manifold_y: Manifold
     value: Callable[[Point, Point], float]
-    grad_x: Callable[[Point, Point], Tangent]
-    grad_y: Callable[[Point, Point], Tangent]
+    grad_x: Callable[[Point, Point], np.ndarray]
+    grad_y: Callable[[Point, Point], np.ndarray]
 
 
 def split_saddle(z: Point) -> tuple[Point, Point]:
@@ -46,39 +50,27 @@ def split_saddle(z: Point) -> tuple[Point, Point]:
     return Point(m.parts[0], cx), Point(m.parts[1], cy)
 
 
-def join_saddle(m: Product, x: Point, y: Point) -> Point:
-    return Point(m, m.join([x.coords, y.coords]))
-
-
-def product_field(obj: SaddleObjective):
-    """Build the raw operator F(z) = (grad_x f, -grad_y f).
-
-    Returns ``(manifold, field)`` where the manifold is the two-part
-    product of the objective's blocks.
-    """
-    m = Product(obj.manifold_x, obj.manifold_y)
-
-    def field(z: Point) -> Tangent:
-        x, y = split_saddle(z)
-        gx = obj.grad_x(x, y)
-        gy = obj.grad_y(x, y)
-        return Tangent(z, m.join([gx.components, -gy.components]))
-
-    return m, field
-
-
 def saddle_to_field(obj: SaddleObjective, *, name: str = "saddle",
-                    solution: Point | None = None, region_radius: float = 1.0,
+                    solution: tuple[Point, Point] | None = None,
+                    region_radius: float = 1.0,
                     lipschitz: float | None = None,
                     grad_bound: float | None = None,
                     exact_gap=None, params: dict | None = None
                     ) -> "VectorFieldProblem":
     """Wrap a saddle objective as a variational-inequality problem.
 
-    The induced field's x-component is grad_x f and its y-component is the
-    negation of grad_y f, on the product of the two block manifolds.
+    The field F(z) = (grad_x f, -grad_y f) lives on the product of the two
+    block manifolds, and each value is one checked :class:`Tangent`.
+    ``solution`` is the block pair (x*, y*).
     """
-    m, field = product_field(obj)
+    m = Product(obj.manifold_x, obj.manifold_y)
+
+    def field(z: Point) -> Tangent:
+        x, y = split_saddle(z)
+        return Tangent(z, m.join([obj.grad_x(x, y), -obj.grad_y(x, y)]))
+
+    if solution is not None:
+        solution = Point(m, m.join([p.coords for p in solution]))
     return VectorFieldProblem(
         name=name, manifold=m, field=field, solution=solution,
         region_radius=region_radius, lipschitz=lipschitz,
@@ -205,11 +197,6 @@ def check_assumptions(prob: VectorFieldProblem, n_pairs: int,
 # metrics
 # ---------------------------------------------------------------------------
 
-def hamiltonian(obj: SaddleObjective, x: Point, y: Point) -> float:
-    """||grad_x f||^2 + ||grad_y f||^2 — equals ||F(z)||^2 for the saddle field."""
-    return obj.grad_x(x, y).norm() ** 2 + obj.grad_y(x, y).norm() ** 2
-
-
 @dataclass(frozen=True)
 class GapEstimate:
     """Duality gap value plus convergence/domain flags for the inner solver."""
@@ -218,9 +205,6 @@ class GapEstimate:
     converged: bool
     in_domain: bool
     iterations: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _clamp_to_ball(center: Point, z: Point, radius: float) -> Point:
@@ -238,8 +222,8 @@ def _inner_opt(value_grad, start: Point, center: Point, radius: float,
     converged = False
     k = 0
     for k in range(1, max_steps + 1):
-        g = value_grad(y)
-        y_new = _clamp_to_ball(center, ops.exp_map(y, g * step), radius)
+        g = Tangent(y, value_grad(y) * step)
+        y_new = _clamp_to_ball(center, ops.exp_map(y, g), radius)
         if ops.distance(y, y_new) < tol:
             y = y_new
             converged = True
@@ -269,13 +253,8 @@ def duality_gap(obj: SaddleObjective, z: Point, center: Point, radius: float,
     y_best, conv_y, it_y = _inner_opt(
         lambda yy: obj.grad_y(x, yy), y, cy, radius, step, max_steps, tol)
     x_best, conv_x, it_x = _inner_opt(
-        lambda xx: -1.0 * obj.grad_x(xx, y), x, cx, radius, step, max_steps, tol)
+        lambda xx: -obj.grad_x(xx, y), x, cx, radius, step, max_steps, tol)
 
     gap = obj.value(x, y_best) - obj.value(x_best, y)
     return GapEstimate(value=float(gap), converged=conv_y and conv_x,
                        in_domain=in_domain, iterations=max(it_y, it_x))
-
-
-def gap_from_field_bound(prob: VectorFieldProblem, z: Point) -> float:
-    """The coarse certificate gap(z) <= ||F(z)|| * 2D."""
-    return prob.field(z).norm() * 2.0 * prob.region_radius

@@ -194,9 +194,14 @@ def test_validator_spec_validation():
 
 @pytest.mark.parametrize("bad", [{"probes": -3}, {"leg": -1.0},
                                  {"checks": ("nope",)}, {"seed": -1},
-                                 {"manifolds": ("spd2", "x9")}],
+                                 {"manifolds": ("spd2", "x9")},
+                                 {"manifolds": ("s0",)}, {"manifolds": ("e0",)},
+                                 {"manifolds": ("h0",)}, {"manifolds": ("spd0",)},
+                                 {"manifolds": ("s2", "h2*spd1")}],
                          ids=["negative-probes", "negative-leg", "unknown-check",
-                              "negative-seed", "bad-manifold-spec"])
+                              "negative-seed", "bad-manifold-spec", "sphere-s0",
+                              "euclidean-e0", "hyperboloid-h0", "spd-spd0",
+                              "spd-spd1"])
 def test_validator_spec_built_directly_is_validated(bad):
     settings = {"manifolds": ("s2",), "checks": ("distance_comparison",),
                 "probes": 5, **bad}
@@ -427,6 +432,36 @@ def test_cli_unknown_problem_parameter_is_config_error(tmp_path, capsys):
     assert "config error:" in err
     assert "bogus" in err and "region_radius" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,params,needle", [
+    ("euclidean_bilinear", {"dim": 0}, "dim"),
+    ("hyperbolic_rmean_saddle", {"n_points": 1}, "n_points"),
+    ("decoupled_saddle", {"manifold": "h2*h2", "center_offset": 50},
+     "decoupled_saddle"),
+], ids=["zero-dim", "one-point", "offset-off-manifold"])
+def test_cli_bad_problem_parameter_value_is_config_error(tmp_path, capsys,
+                                                         name, params, needle):
+    mapping = _grid_mapping(tmp_path, methods=["REG"], seeds=[0], T=5)
+    mapping["problem"] = {"name": name, "params": params}
+    assert main(["run", _write_yaml(tmp_path / "exp.yaml", mapping)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
+
+
+@pytest.mark.parametrize("problem,needle", [
+    ({"name": "nope"}, "nope"),
+    ({"name": "decoupled_saddle", "params": {"bogus": 1}}, "bogus"),
+], ids=["unknown-problem", "unknown-parameter"])
+def test_cli_validate_checks_problem_section(tmp_path, capsys, problem, needle):
+    cfg = _write_yaml(tmp_path / "val.yaml", {
+        "problem": problem,
+        "validators": {"manifolds": ["s2"], "checks": ["distance_comparison"],
+                       "probes": 5},
+    })
+    assert main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
 
 
 def test_cli_validate_unparsable_leg_is_config_error(tmp_path, capsys):

@@ -29,9 +29,6 @@ from rvikit.problems import (
     check_assumptions,
     duality_gap,
     equal_energy_start,
-    gap_from_field_bound,
-    hamiltonian,
-    join_saddle,
     list_problems,
     make_problem,
     manifold_from_spec,
@@ -46,8 +43,8 @@ def _scalar_bilinear():
     return SaddleObjective(
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: float(x.coords[0] * y.coords[0]),
-        grad_x=lambda x, y: Tangent(x, [y.coords[0]]),
-        grad_y=lambda x, y: Tangent(y, [x.coords[0]]))
+        grad_x=lambda x, y: y.coords.copy(),
+        grad_y=lambda x, y: x.coords.copy())
 
 
 def _euclidean_quadratic():
@@ -58,8 +55,8 @@ def _euclidean_quadratic():
         value=lambda x, y: float(0.5 * x.coords[0] ** 2
                                  - 0.5 * y.coords[0] ** 2
                                  + x.coords[0] * y.coords[0]),
-        grad_x=lambda x, y: Tangent(x, [x.coords[0] + y.coords[0]]),
-        grad_y=lambda x, y: Tangent(y, [x.coords[0] - y.coords[0]]))
+        grad_x=lambda x, y: x.coords + y.coords,
+        grad_y=lambda x, y: x.coords - y.coords)
 
 
 def _at(prob, x_val, y_val):
@@ -116,23 +113,31 @@ def test_split_join_saddle_roundtrip():
     prob = make_problem("decoupled_saddle", manifold="h2*s2",
                         region_radius=0.4)
     x, y = split_saddle(prob.solution)
-    z = join_saddle(prob.manifold, x, y)
-    np.testing.assert_allclose(z.coords, prob.solution.coords)
+    assert (x.manifold, y.manifold) == prob.manifold.parts
+    z = Point(prob.manifold, prob.manifold.join([x.coords, y.coords]))
+    np.testing.assert_array_equal(z.coords, prob.solution.coords)
     with pytest.raises(ContractViolation):
         split_saddle(x)          # not a two-part product point
 
 
 # ---------------------------------------------------------------------------
-# hamiltonian
+# hamiltonian ||grad_x f||^2 + ||grad_y f||^2 and the contract on field values
 # ---------------------------------------------------------------------------
 
+def _hamiltonian(obj, z):
+    x, y = split_saddle(z)
+    return (obj.manifold_x.norm(x.coords, obj.grad_x(x, y)) ** 2
+            + obj.manifold_y.norm(y.coords, obj.grad_y(x, y)) ** 2)
+
+
 def test_hamiltonian_hand_value():
-    obj = _scalar_bilinear()
-    x = Point(Euclidean(1), [1.0])
-    y = Point(Euclidean(1), [2.0])
-    assert hamiltonian(obj, x, y) == pytest.approx(5.0)
-    origin = Point(Euclidean(1), [0.0])
-    assert hamiltonian(obj, origin, origin) == 0.0
+    prob = saddle_to_field(_scalar_bilinear())
+    z = _at(prob, 1.0, 2.0)
+    assert _hamiltonian(prob.objective, z) == pytest.approx(5.0)
+    assert prob.field(z).norm() ** 2 == pytest.approx(5.0)
+    origin = _at(prob, 0.0, 0.0)
+    assert _hamiltonian(prob.objective, origin) == 0.0
+    assert prob.field(origin).norm() == 0.0
 
 
 @pytest.mark.parametrize("maker,kwargs", [
@@ -146,11 +151,36 @@ def test_hamiltonian_equals_field_norm_squared(maker, kwargs):
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = ops.ball_point(prob.solution, rng, prob.region_radius)
-        x, y = split_saddle(z)
-        ham = hamiltonian(prob.objective, x, y)
+        ham = _hamiltonian(prob.objective, z)
         assert ham >= 0.0
         assert ham == pytest.approx(prob.field(z).norm() ** 2, abs=1e-12,
                                     rel=1e-12)
+
+
+def _sphere_saddle(normal_offset):
+    """Block gradients on S^2 x S^2, the x one off its tangent space by ``normal_offset``."""
+    m = Sphere(2)
+    return SaddleObjective(
+        manifold_x=m, manifold_y=m, value=lambda x, y: 0.0,
+        grad_x=lambda x, y: (m.project_tangent(x.coords, [0.3, -0.2, 0.5])
+                             + normal_offset * x.coords),
+        grad_y=lambda x, y: m.project_tangent(y.coords, [0.1, 0.4, -0.3]))
+
+
+def test_field_value_is_the_one_contract_on_block_gradients():
+    prob = saddle_to_field(_sphere_saddle(1e-6))
+    z = Point(prob.manifold, prob.manifold.anchor())
+    with pytest.raises(ContractViolation, match="tangent defect"):
+        prob.field(z)
+
+    prob = saddle_to_field(_sphere_saddle(1e-9))
+    f = prob.field(z)
+    assert prob.manifold.tangent_defect(z.coords, f.components) <= 1e-10
+    x, y = split_saddle(z)
+    want = prob.manifold.join([
+        Sphere(2).project_tangent(x.coords, prob.objective.grad_x(x, y)),
+        -prob.objective.grad_y(x, y)])
+    np.testing.assert_allclose(f.components, want, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +212,8 @@ def test_gradients_match_finite_differences(maker, kwargs):
         v = v * (1.0 / v.norm())
         fd_x = _directional_fd(lambda h: obj.value(ops.exp_map(x, u * h), y))
         fd_y = _directional_fd(lambda h: obj.value(x, ops.exp_map(y, v * h)))
-        got_x = ops.inner(obj.grad_x(x, y), u)
-        got_y = ops.inner(obj.grad_y(x, y), v)
+        got_x = ops.inner(Tangent(x, obj.grad_x(x, y)), u)
+        got_y = ops.inner(Tangent(y, obj.grad_y(x, y)), v)
         assert got_x == pytest.approx(fd_x, rel=1e-5, abs=1e-7)
         assert got_y == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
 
@@ -258,6 +288,8 @@ def test_manifold_shorthand_parsing():
         manifold_from_spec("q5")
     with pytest.raises(ConfigError):
         manifold_from_spec("spd")
+    with pytest.raises(ConfigError, match="'spd1'"):
+        manifold_from_spec("h2*spd1")      # below SPD's minimum size
 
 
 def test_frechet_mean_of_two_sphere_points_is_midpoint():
@@ -337,11 +369,12 @@ def test_declared_bounds_flow_into_geometry_bounds():
 
 
 def test_bounds_require_declared_constants():
-    origin = Point(Product(Euclidean(1), Euclidean(1)), [0.0, 0.0])
-    prob = saddle_to_field(_scalar_bilinear(), solution=origin, lipschitz=1.0)
+    origin = Point(Euclidean(1), [0.0])
+    prob = saddle_to_field(_scalar_bilinear(), solution=(origin, origin),
+                           lipschitz=1.0)
     with pytest.raises(ConfigError, match="grad_bound"):
         prob.bounds()
-    prob = saddle_to_field(_scalar_bilinear(), solution=origin)
+    prob = saddle_to_field(_scalar_bilinear(), solution=(origin, origin))
     with pytest.raises(ConfigError, match="lipschitz and grad_bound"):
         prob.bounds()
 
@@ -415,7 +448,9 @@ def test_gap_bounded_by_field_norm_times_diameter():
             gap = (prob.exact_gap(z, R) if prob.exact_gap is not None
                    else duality_gap(prob.objective, z, prob.solution, R,
                                     lipschitz=prob.lipschitz).value)
-            assert gap <= gap_from_field_bound(prob, z) + 1e-3, name
+            # the coarse certificate gap(z) <= ||F(z)|| * 2D
+            bound = prob.field(z).norm() * 2.0 * prob.region_radius
+            assert gap <= bound + 1e-3, name
 
 
 def test_gap_nonincreasing_toward_saddle_on_decoupled():
@@ -435,7 +470,7 @@ def test_gap_estimate_flags_out_of_domain_queries():
     rng = np.random.default_rng(15)
     u = ops.random_tangent(x_star, rng, 1.0)
     x_far = ops.exp_map(x_star, u * (0.5 / u.norm()))
-    far = join_saddle(prob.manifold, x_far, y_star)
+    far = Point(prob.manifold, prob.manifold.join([x_far.coords, y_star.coords]))
     est = duality_gap(prob.objective, far, prob.solution, radius=0.3,
                       lipschitz=prob.lipschitz)
     assert not est.in_domain
