@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+import numbers
+
 
 class RvikitError(Exception):
     """Base class for all toolkit errors."""
@@ -61,3 +63,9 @@ def require(condition: bool, message: str) -> None:
 def is_strictly(value, kind) -> bool:
     """``isinstance(value, kind)``, except that a bool counts as no number."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``least``."""
+    require(is_strictly(value, numbers.Integral) and value >= least,
+            f"{name} must be an integer >= {least}, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..manifolds.base import Manifold, Point, Tangent
+from ..manifolds.base import Manifold, Point, Tangent, checked_tangents
 from ..manifolds import ops
 from .constants import sigma, zeta
 
@@ -218,8 +218,10 @@ def sample_triangle(m: Manifold, rng: np.random.Generator, leg: float | None = N
         leg = _default_leg(m)
     if center is None:
         center = ops.random_point(m, rng)
-    pts = [ops.ball_point(center, rng, leg) for _ in range(3)]
-    x, y, z = pts
+    # three ball points around the center as one batch, drawn in the same order
+    base = np.broadcast_to(center.coords, (3, m.ambient))
+    steps = checked_tangents(m, base, m.random_tangent(rng, base, leg))
+    x, y, z = (Point(m, coords) for coords in m.exp(base, steps))
     u = ops.random_tangent(x, rng, 1.0)
     nu = u.norm()
     if nu > 1e-12:
@@ -296,6 +298,6 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):       # np.float64 too: its repr names the type
+        return repr(float(value))
     return str(value)

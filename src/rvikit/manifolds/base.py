@@ -1,8 +1,12 @@
 """Typed points and tangents over a small family of Riemannian manifolds.
 
 Every manifold works on flat ``float64`` coordinate vectors (matrices are
-stored row-major) so that products and random sampling are uniform.  The
-:class:`Point` / :class:`Tangent` wrappers pin coordinates to a manifold
+stored row-major) so that products and random sampling are uniform.  Each
+array kernel also takes leading batch axes: coordinates of shape
+``(..., ambient)`` give ``(...)`` scalars or ``(..., ambient)`` vectors,
+row by row, from the one implementation.  A single vector gives a vector
+and Python-float scalars, the same numbers as a batch row.
+The :class:`Point` / :class:`Tangent` wrappers pin coordinates to a manifold
 (and tangents to a base point).  Each contract decision is made in one
 place:
 
@@ -13,13 +17,15 @@ place:
   - defect  < 1e-8       silently re-projected onto the manifold,
   - defect >= 1e-8       :class:`~rvikit.exceptions.ContractViolation`;
 
+  :func:`checked_tangents` is the same contract on a batch: the policy
+  applies row by row, and one row past 1e-8 refuses the batch;
   a saddle's block gradients are checked once, as the field's output
   (:func:`rvikit.problems.saddle_to_field`);
 
 * the typed operations in :mod:`rvikit.manifolds.ops` (and tangent
   arithmetic here) check that bases and manifolds match;
 * :meth:`Manifold.norm` and :func:`rvikit.manifolds.ops.distance` check
-  that their results are finite.
+  that their results are finite (:func:`finite`).
 """
 
 from __future__ import annotations
@@ -45,12 +51,71 @@ def _as_vector(coords) -> np.ndarray:
     return arr
 
 
+# -- row-wise helpers shared by the kernels -----------------------------------
+# For one vector, a kernel's per-row scalars and masks are numpy scalars; for
+# a batch they are arrays, kept as (..., 1) columns where they scale vectors.
+# One row takes a plain branch, so a single vector computes only the branch it
+# needs, as a scalar ``if`` would.
+
+def _scalar(a):
+    """A per-row scalar result: a Python float for one row, else the array."""
+    return a if getattr(a, "ndim", 0) else float(a)
+
+
+def _col(a):
+    """Per-row scalars as a column that scales ``(..., ambient)`` rows."""
+    return a[..., None] if getattr(a, "ndim", 0) else a
+
+
+def _any(mask) -> bool:
+    """Whether ``mask`` holds on any row."""
+    return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _pick(mask, a, b):
+    """``a`` on the rows where ``mask`` holds and ``b`` on the others."""
+    if getattr(mask, "ndim", 0):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _replace_rows(mask, value, out: np.ndarray) -> np.ndarray:
+    """``out`` with ``value`` on the rows where the column ``mask`` holds, as a
+    new array; ``out`` itself if no row does."""
+    if mask.any() if getattr(mask, "ndim", 0) else mask:
+        return np.where(mask, value, out)
+    return out
+
+
+def _larger(a, b):
+    """Per-row ``max(a, b)``, with the builtin's tie and NaN behaviour."""
+    mask = b > a
+    if getattr(mask, "ndim", 0):
+        return np.where(mask, b, a)
+    return b if mask else a
+
+
+def _euclidean_norm(v: np.ndarray):
+    """Row-wise ``np.linalg.norm`` over the last axis."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def finite(value, what: str):
+    """``value`` (per-row scalars) if every row is finite; an overflow breaks
+    the finite-numbers contract."""
+    value = _scalar(value)
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise ContractViolation(f"{what} overflows: it must be finite")
+    return value
+
+
 class Manifold(abc.ABC):
     """Array-level geometry kernel.
 
-    Subclasses implement exp/log/parallel transport/metric on raw 1-D
-    coordinate vectors; the typed layer in :mod:`rvikit.manifolds.ops`
-    wraps these with base-point bookkeeping.
+    Subclasses implement exp/log/parallel transport/metric on raw
+    coordinate arrays of shape ``(..., ambient)``, row by row; the typed
+    layer in :mod:`rvikit.manifolds.ops` wraps these with base-point
+    bookkeeping.
 
     Attributes
     ----------
@@ -109,10 +174,7 @@ class Manifold(abc.ABC):
     def norm(self, x: np.ndarray, v: np.ndarray) -> float:
         """Riemannian norm; one that overflows breaks the finite-numbers contract."""
         with np.errstate(over="ignore"):
-            n = float(np.sqrt(max(self.inner(x, v, v), 0.0)))
-        if not math.isfinite(n):
-            raise ContractViolation("tangent norm overflows: it must be finite")
-        return n
+            return finite(np.sqrt(_larger(self.inner(x, v, v), 0.0)), "tangent norm")
 
     def anchor(self) -> np.ndarray:
         """A canonical base point (origin/identity/first axis)."""
@@ -125,14 +187,23 @@ class Manifold(abc.ABC):
 
     def random_tangent(self, rng: np.random.Generator, x: np.ndarray,
                        radius: float) -> np.ndarray:
-        """Uniform sample from the tangent ball of ``radius`` at ``x``."""
-        g = rng.standard_normal(self.ambient)
-        v = self.project_tangent(x, g)
-        nv = self.norm(x, v)
-        if nv < 1e-15:  # pathological draw; retry deterministically
-            return self.random_tangent(rng, x, radius)
-        r = radius * rng.uniform() ** (1.0 / self.dim)
-        return v * (r / nv)
+        """Uniform samples from the tangent balls of ``radius`` at the rows of ``x``.
+
+        Each row draws ``standard_normal(ambient)`` (again, while its tangent
+        part is numerically zero) and then ``uniform()``, in row order, so a
+        batch draws the numbers that the same rows would one at a time.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, self.ambient)
+        out = np.empty(rows.shape)
+        for i, row in enumerate(rows):
+            nv = 0.0
+            while nv < 1e-15:  # pathological draw; retry deterministically
+                v = self.project_tangent(row, rng.standard_normal(self.ambient))
+                nv = self.norm(row, v)
+            r = radius * rng.uniform() ** (1.0 / self.dim)
+            out[i] = v * (r / nv)
+        return out.reshape(x.shape)
 
     def ball_point(self, rng: np.random.Generator, center: np.ndarray,
                    radius: float) -> np.ndarray:
@@ -156,12 +227,28 @@ class Manifold(abc.ABC):
 
 
 def _checked(manifold: Manifold, what: str, defect_of, project, *args) -> np.ndarray:
-    """``args[-1]`` under the defect policy: accepted, re-projected or refused."""
+    """``args[-1]`` under the defect policy, row by row: each row is accepted
+    or re-projected, and one row past the re-projection bound refuses all."""
     defect = defect_of(*args)
-    if defect >= REPROJECT_TOL:
+    redo = defect > STRICT_TOL
+    if not _any(redo):
+        return args[-1]
+    bad = defect >= REPROJECT_TOL
+    if _any(bad):
+        worst = np.max(defect, where=bad, initial=REPROJECT_TOL)
         raise ContractViolation(
-            f"{what} defect {defect:.3e} on {manifold!r} exceeds {REPROJECT_TOL:g}")
-    return project(*args) if defect > STRICT_TOL else args[-1]
+            f"{what} defect {worst:.3e} on {manifold!r} exceeds {REPROJECT_TOL:g}")
+    return _replace_rows(_col(redo), project(*args), args[-1])
+
+
+def checked_tangents(manifold: Manifold, x: np.ndarray, v) -> np.ndarray:
+    """Rows of ``v`` under the :class:`Tangent` contract at the rows of ``x``:
+    finite coordinates, and the defect policy row by row."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ContractViolation("coordinates must be finite")
+    return _checked(manifold, "tangent", manifold.tangent_defect,
+                    manifold.project_tangent, x, v)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Manifold
+from .base import Manifold, _euclidean_norm, _scalar
 
 
 class Euclidean(Manifold):
@@ -21,15 +21,15 @@ class Euclidean(Manifold):
     def _signature(self):
         return ("Euclidean", self.dim)
 
-    # representation: every finite vector is a point
+    # representation: every finite vector is a point (a zero defect per row)
     def point_defect(self, x):
-        return 0.0
+        return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
 
     def project(self, x):
         return np.asarray(x, dtype=float)
 
     def tangent_defect(self, x, v):
-        return 0.0
+        return self.point_defect(v)
 
     def project_tangent(self, x, v):
         return np.asarray(v, dtype=float)
@@ -45,10 +45,10 @@ class Euclidean(Manifold):
         return np.array(u, dtype=float)
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _scalar(np.vecdot(u, v))
 
     def dist(self, x, y):
-        return float(np.linalg.norm(y - x))
+        return _scalar(_euclidean_norm(y - x))
 
     def random_point(self, rng):
         return rng.standard_normal(self.dim)

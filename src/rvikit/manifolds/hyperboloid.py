@@ -12,12 +12,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Manifold
+from .base import Manifold, _any, _col, _larger, _pick, _replace_rows, _scalar
+
+
+def _lorentz(u: np.ndarray, v: np.ndarray):
+    """<u,v>_L row by row, as a numpy scalar or an array."""
+    # [()] makes one row's time coordinates scalars, whose product is cheap
+    return np.vecdot(u[..., 1:], v[..., 1:]) - u[..., 0][()] * v[..., 0][()]
 
 
 def minkowski(u: np.ndarray, v: np.ndarray) -> float:
-    """The Lorentzian bilinear form <u,v>_L."""
-    return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
+    """The Lorentzian bilinear form <u,v>_L (row by row for a batch)."""
+    return _scalar(_lorentz(u, v))
+
+
+def _length(v: np.ndarray):
+    """sqrt(max(<v,v>_L, 0)) row by row: the Lorentz length of a spacelike v."""
+    return np.sqrt(_larger(_lorentz(v, v), 0.0))
 
 
 class Hyperboloid(Manifold):
@@ -36,62 +47,61 @@ class Hyperboloid(Manifold):
 
     # -- representation --------------------------------------------------
     def point_defect(self, x):
-        if x[0] <= 0.0:
-            return np.inf
-        return abs(minkowski(x, x) + 1.0)
+        return _scalar(_pick(x[..., 0] <= 0.0, np.inf, abs(_lorentz(x, x) + 1.0)))
 
     def project(self, x):
         # restore the sheet constraint by recomputing the time coordinate
         out = np.array(x, dtype=float)
-        out[0] = np.sqrt(1.0 + float(np.dot(out[1:], out[1:])))
+        out[..., 0] = np.sqrt(1.0 + np.vecdot(out[..., 1:], out[..., 1:]))
         return out
 
     def tangent_defect(self, x, v):
-        return abs(minkowski(x, v))
+        return _scalar(abs(_lorentz(x, v)))
 
     def project_tangent(self, x, v):
         # <x,x>_L = -1, so adding <v,x>_L * x cancels the Lorentzian component
-        return v + minkowski(v, x) * x
+        return v + _col(_lorentz(v, x)) * x
 
     # -- geometry ---------------------------------------------------------
+    # A row with a zero step or separation divides by 1 instead of 0 (adding
+    # the mask does that) and then takes its degenerate value.
     def exp(self, x, v):
-        t2 = minkowski(v, v)
-        t = float(np.sqrt(max(t2, 0.0)))
-        if t < 1e-16:
-            return np.array(x, dtype=float)
-        return np.cosh(t) * x + np.sinh(t) * (v / t)
+        t = _col(_length(v))
+        still = t < 1e-16
+        return _replace_rows(still, x, np.cosh(t) * x + np.sinh(t) * (v / (t + still)))
 
     def log(self, x, y):
-        w = y + minkowski(x, y) * x          # spacelike, |w|_L = sinh(d)
-        s2 = minkowski(w, w)
-        s = float(np.sqrt(max(s2, 0.0)))
-        if s < 1e-16:
-            return np.zeros_like(x)
-        d = float(np.arcsinh(s)) if s < 2.0 else self.dist(x, y)
-        return (d / s) * w
+        w = y + _col(_lorentz(x, y)) * x     # spacelike, |w|_L = sinh(d)
+        s = _col(_length(w))
+        d = np.arcsinh(s)
+        far = s >= 2.0
+        if _any(far):
+            d = _pick(far, _col(self.dist(x, y)), d)
+        still = s < 1e-16
+        return _replace_rows(still, 0.0, (d / (s + still)) * w)
 
     def transport(self, x, y, u):
         v = self.log(x, y)
-        d = float(np.sqrt(max(minkowski(v, v), 0.0)))
-        if d < 1e-16:
-            return self.project_tangent(y, np.array(u, dtype=float))
-        e = v / d
-        a = minkowski(u, e)
+        d = _col(_length(v))
+        still = d < 1e-16
+        e = v / (d + still)
+        a = _col(_lorentz(u, e))
         out = u + a * ((np.cosh(d) - 1.0) * e + np.sinh(d) * x)
-        return self.project_tangent(y, out)
+        return self.project_tangent(y, _replace_rows(still, u, out))
 
     def inner(self, x, u, v):
         return minkowski(u, v)
 
     def dist(self, x, y):
-        c = -minkowski(x, y)                 # cosh(d) up to roundoff
-        if c < 1.5:
+        c = -_lorentz(x, y)                  # cosh(d) up to roundoff
+        # rows below 1.5 take the other branch; the floor keeps arccosh quiet
+        d = np.arccosh(_larger(c, 1.0))
+        near = c < 1.5
+        if _any(near):
             # near-identical points: arccosh(1+eps) loses digits; use the
             # spacelike difference, whose Lorentz norm is 2*sinh(d/2)
-            w = y - x
-            half = float(np.sqrt(max(minkowski(w, w), 0.0))) / 2.0
-            return 2.0 * float(np.arcsinh(half))
-        return float(np.arccosh(c))
+            d = _pick(near, 2.0 * np.arcsinh(_length(y - x) / 2.0), d)
+        return _scalar(d)
 
     def random_point(self, rng):
         g = rng.standard_normal(self.dim)

@@ -8,13 +8,12 @@ garbage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import AveragingError, ContractViolation
-from .base import Manifold, Point, Tangent
+from .base import Manifold, Point, Tangent, finite
 
 
 def _require_point(p: Point) -> None:
@@ -64,10 +63,7 @@ def distance(p: Point, q: Point) -> float:
     """Geodesic distance; one that overflows breaks the finite-numbers contract."""
     _require_same_manifold(p, q)
     with np.errstate(over="ignore"):
-        d = p.manifold.dist(p.coords, q.coords)
-    if not math.isfinite(d):
-        raise ContractViolation("distance overflows: it must be finite")
-    return d
+        return finite(p.manifold.dist(p.coords, q.coords), "distance")
 
 
 def random_point(m: Manifold, rng: np.random.Generator) -> Point:

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
 
-from .base import Manifold
+from .base import Manifold, _larger, _scalar
 
 
 class Product(Manifold):
     """Cartesian product; coordinates are part vectors concatenated.
 
-    All maps act part-wise.  Squared distances add.  Curvature bounds
-    combine as [min_i kappa_i, max_i K_i], widened to include 0 when
-    there is more than one factor (planes spanning two factors are flat).
+    All maps act part-wise, on slices of the last axis.  Squared
+    distances add.  Curvature bounds combine as [min_i kappa_i, max_i K_i],
+    widened to include 0 when there is more than one factor (planes
+    spanning two factors are flat).
     """
 
     def __init__(self, *parts):
@@ -41,26 +43,25 @@ class Product(Manifold):
         return " x ".join(repr(p) for p in self.parts)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x[s] for s in self._slices]
+        return [x[..., s] for s in self._slices]
 
     def join(self, pieces) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
-                               for p in pieces])
+        return np.concatenate([np.asarray(p, dtype=float) for p in pieces], axis=-1)
 
     def _partwise(self, kernel: str, *arrays) -> list:
         """Each part's ``kernel`` on its slices of ``arrays``, in part order."""
-        return [getattr(p, kernel)(*[a[s] for a in arrays])
+        return [getattr(p, kernel)(*[a[..., s] for a in arrays])
                 for p, s in zip(self.parts, self._slices)]
 
     # -- representation --------------------------------------------------
     def point_defect(self, x):
-        return max(self._partwise("point_defect", x))
+        return reduce(_larger, self._partwise("point_defect", x))
 
     def project(self, x):
         return self.join(self._partwise("project", x))
 
     def tangent_defect(self, x, v):
-        return max(self._partwise("tangent_defect", x, v))
+        return reduce(_larger, self._partwise("tangent_defect", x, v))
 
     def project_tangent(self, x, v):
         return self.join(self._partwise("project_tangent", x, v))
@@ -79,7 +80,7 @@ class Product(Manifold):
         return sum(self._partwise("inner", x, u, v))
 
     def dist(self, x, y):
-        return float(np.sqrt(sum(d ** 2 for d in self._partwise("dist", x, y))))
+        return _scalar(np.sqrt(sum(d ** 2 for d in self._partwise("dist", x, y))))
 
     def random_point(self, rng):
         return self.join(p.random_point(rng) for p in self.parts)

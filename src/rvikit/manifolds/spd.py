@@ -15,17 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ContractViolation
-from .base import Manifold
+from .base import Manifold, _euclidean_norm, _scalar
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.mT)
 
 
 def _eigh_fun(m: np.ndarray, fun) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix via eigendecomposition."""
+    """Apply a scalar function to symmetric matrices via eigendecomposition."""
     w, q = np.linalg.eigh(m)
-    return (q * fun(w)) @ q.T
+    return (q * fun(w)[..., None, :]) @ q.mT
 
 
 class SPD(Manifold):
@@ -44,27 +44,28 @@ class SPD(Manifold):
         return ("SPD", self.n)
 
     def _mat(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.n, self.n)
+        x = np.asarray(x, dtype=float)
+        return x.reshape(x.shape[:-1] + (self.n, self.n))
 
     def _vec(self, m: np.ndarray) -> np.ndarray:
-        return np.asarray(m, dtype=float).reshape(-1)
+        return m.reshape(m.shape[:-2] + (-1,))
 
     # -- representation --------------------------------------------------
     def point_defect(self, x):
         m = self._mat(x)
-        asym = float(np.max(np.abs(m - m.T)))
+        asym = np.abs(m - m.mT).max(axis=(-2, -1))
         try:
             np.linalg.cholesky(_sym(m))
         except np.linalg.LinAlgError:
             raise ContractViolation("matrix is not positive definite") from None
-        return asym
+        return _scalar(asym)
 
     def project(self, x):
         return self._vec(_sym(self._mat(x)))
 
     def tangent_defect(self, x, v):
         m = self._mat(v)
-        return float(np.max(np.abs(m - m.T)))
+        return _scalar(np.abs(m - m.mT).max(axis=(-2, -1)))
 
     def project_tangent(self, x, v):
         return self._vec(_sym(self._mat(v)))
@@ -74,8 +75,8 @@ class SPD(Manifold):
         """(p^{1/2}, p^{-1/2}) via one eigendecomposition."""
         w, q = np.linalg.eigh(p)
         w = np.maximum(w, 1e-300)
-        rw = np.sqrt(w)
-        return (q * rw) @ q.T, (q / rw) @ q.T
+        rw = np.sqrt(w)[..., None, :]
+        return (q * rw) @ q.mT, (q / rw) @ q.mT
 
     def exp(self, x, v):
         p, u = self._mat(x), self._mat(v)
@@ -95,19 +96,19 @@ class SPD(Manifold):
         rp, irp = self._sqrt_pair(p)
         mid = _eigh_fun(_sym(irp @ q @ irp), np.sqrt)
         e = rp @ mid @ irp
-        return self._vec(_sym(e @ self._mat(u) @ e.T))
+        return self._vec(_sym(e @ self._mat(u) @ e.mT))
 
     def inner(self, x, u, v):
-        p = self._mat(x)
-        a = np.linalg.solve(p, self._mat(u))
-        b = np.linalg.solve(p, self._mat(v))
-        return float(np.trace(a @ b))
+        # one call solves for u and v: the same per-matrix LAPACK solve, less overhead
+        rhs = np.stack(np.broadcast_arrays(self._mat(u), self._mat(v)))
+        a, b = np.linalg.solve(self._mat(x), rhs)
+        return _scalar(np.trace(a @ b, axis1=-2, axis2=-1))
 
     def dist(self, x, y):
         p, q = self._mat(x), self._mat(y)
         _, irp = self._sqrt_pair(p)
         w = np.linalg.eigvalsh(_sym(irp @ q @ irp))
-        return float(np.linalg.norm(np.log(np.maximum(w, 1e-300))))
+        return _scalar(_euclidean_norm(np.log(np.maximum(w, 1e-300))))
 
     def random_point(self, rng):
         """exp at the identity of a random symmetric matrix (spread ~ 0.7)."""

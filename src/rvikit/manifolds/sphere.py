@@ -5,17 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import InjectivityError
-from .base import Manifold
+from .base import Manifold, _any, _col, _euclidean_norm, _replace_rows, _scalar
 
 # how close to pi a step/separation may come before we refuse it
 _ANTIPODAL_GUARD = 1e-9
+
+
+def _cosine(x: np.ndarray, y: np.ndarray):
+    """<x, y> clipped to [-1, 1] row by row (np.clip's numbers, without its overhead)."""
+    return np.minimum(np.maximum(np.vecdot(x, y), -1.0), 1.0)
 
 
 class Sphere(Manifold):
     """S^d = {x in R^{d+1} : ||x|| = 1} with the round metric.
 
     The injectivity radius is pi: exponential steps of length >= pi and
-    logarithms/transports between antipodal points are rejected.
+    logarithms/transports between antipodal points are rejected, if any
+    row of a batch asks for one.
     """
 
     def __init__(self, d: int):
@@ -31,56 +37,55 @@ class Sphere(Manifold):
 
     # -- representation --------------------------------------------------
     def point_defect(self, x):
-        return abs(float(np.linalg.norm(x)) - 1.0)
+        return _scalar(abs(_euclidean_norm(x) - 1.0))
 
     def project(self, x):
-        return np.asarray(x, dtype=float) / np.linalg.norm(x)
+        return np.asarray(x, dtype=float) / _col(_euclidean_norm(x))
 
     def tangent_defect(self, x, v):
-        return abs(float(np.dot(x, v)))
+        return _scalar(abs(np.vecdot(x, v)))
 
     def project_tangent(self, x, v):
-        return v - np.dot(x, v) * x
+        return v - _col(np.vecdot(x, v)) * x
 
     # -- geometry ---------------------------------------------------------
+    # A row with a zero step or separation divides by 1 instead of 0 (adding
+    # the mask does that) and then takes its degenerate value.
     def exp(self, x, v):
-        t = float(np.linalg.norm(v))
-        if t >= np.pi:
+        t = _col(_euclidean_norm(v))
+        if _any(t >= np.pi):
             raise InjectivityError(
-                f"sphere exponential step of length {t:.6f} >= pi")
-        if t < 1e-16:
-            return np.array(x, dtype=float)
-        return np.cos(t) * x + np.sin(t) * (v / t)
+                f"sphere exponential step of length {np.max(t):.6f} >= pi")
+        still = t < 1e-16
+        return _replace_rows(still, x, np.cos(t) * x + np.sin(t) * (v / (t + still)))
 
     def log(self, x, y):
-        c = float(np.clip(np.dot(x, y), -1.0, 1.0))
+        c = _col(_cosine(x, y))
         w = y - c * x
-        s = float(np.linalg.norm(w))
-        theta = float(np.arctan2(s, c))
-        if theta >= np.pi - _ANTIPODAL_GUARD:
+        s = _col(_euclidean_norm(w))
+        theta = np.arctan2(s, c)
+        if _any(theta >= np.pi - _ANTIPODAL_GUARD):
             raise InjectivityError("sphere log undefined near antipodal points")
-        if s < 1e-16:
-            return np.zeros_like(x)
-        return (theta / s) * w
+        still = s < 1e-16
+        return _replace_rows(still, 0.0, (theta / (s + still)) * w)
 
     def transport(self, x, y, u):
         v = self.log(x, y)
-        theta = float(np.linalg.norm(v))
-        if theta < 1e-16:
-            return self.project_tangent(y, np.array(u, dtype=float))
-        e = v / theta
-        a = float(np.dot(u, e))
+        theta = _col(_euclidean_norm(v))
+        still = theta < 1e-16
+        e = v / (theta + still)
+        a = _col(np.vecdot(u, e))
         out = u + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * x)
-        return self.project_tangent(y, out)
+        return self.project_tangent(y, _replace_rows(still, u, out))
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _scalar(np.vecdot(u, v))
 
     def dist(self, x, y):
-        c = float(np.clip(np.dot(x, y), -1.0, 1.0))
+        c = _cosine(x, y)
         # arctan2 form is accurate for both tiny and near-pi separations
-        s = float(np.linalg.norm(y - c * x))
-        return float(np.arctan2(s, c))
+        s = _euclidean_norm(y - _col(c) * x)
+        return _scalar(np.arctan2(s, c))
 
     def random_point(self, rng):
         g = rng.standard_normal(self.ambient)

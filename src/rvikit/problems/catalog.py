@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 import re
 
 import numpy as np
 
-from ..exceptions import (ConfigError, ContractViolation, InjectivityError, is_strictly,
-                          require)
+from ..exceptions import (ConfigError, ContractViolation, InjectivityError, require,
+                          require_count)
 from ..geometry.constants import zeta
 from ..manifolds import ops
 from ..manifolds.base import Manifold, Point, Tangent
@@ -113,8 +112,7 @@ def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
     frequencies so last-iterate norms display their sustained power-law
     decay rather than the single-mode linear rate.
     """
-    require(is_strictly(dim, numbers.Integral) and dim >= 1,
-            f"dim must be an integer >= 1, got {dim!r}")
+    require_count("dim", dim)
     if matrix is not None:
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2:
@@ -233,16 +231,18 @@ def frechet_mean(manifold="spd2", n_points: int = 5, spread: float = 0.5,
     rng = np.random.default_rng(seed)
     base = _anchor(man)
     if data is None:
+        require_count("n_points", n_points)
         pts = [ops.ball_point(base, rng, spread) for _ in range(n_points)]
     else:
         pts = [Point(man, np.asarray(p, dtype=float).reshape(-1)) for p in data]
         n_points = len(pts)
     D = float(region_radius)
+    data = np.stack([p.coords for p in pts])
 
     def raw_field(z: Point) -> Tangent:
         acc = np.zeros(man.ambient)
-        for p in pts:
-            acc += man.log(z.coords, p.coords)
+        for log in man.log(z.coords, data):      # one batched call, summed in data order
+            acc += log
         return Tangent(z, -acc / len(pts))
 
     # auxiliary gradient run to locate the minimizer
@@ -286,6 +286,10 @@ def sphere_bilinear(dim_x: int = 2, dim_y: int = 2, scale: float = 1.0,
     operating radius is still certified by sampling at construction and
     shrunk by 0.8 (up to ``max_shrinks`` times) until certification passes.
     """
+    require_count("dim_x", dim_x)
+    require_count("dim_y", dim_y)
+    require_count("certify_pairs", certify_pairs)
+    require_count("max_shrinks", max_shrinks, 0)
     mx, my = Sphere(dim_x), Sphere(dim_y)
     rng = np.random.default_rng(seed)
     x_star = Point(mx, mx.random_point(rng))
@@ -373,8 +377,8 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
     at (c, c), and for beta well below min(1, alpha) the field stays
     strongly monotone on the region.
     """
-    require(is_strictly(n_points, numbers.Integral) and n_points >= 2,
-            f"n_points must be an integer >= 2, got {n_points!r}")
+    require_count("d", d)
+    require_count("n_points", n_points, 2)
     man_part = Hyperboloid(d)
     c = _anchor(man_part)
     rng = np.random.default_rng(seed)
@@ -390,10 +394,12 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
         return (fit + beta * man_part.inner(c.coords, lx, ly)
                 - 0.5 * alpha * ops.distance(y, c) ** 2)
 
+    data = np.stack([p.coords for p in pts])
+
     def grad_x(x: Point, y: Point) -> np.ndarray:
         acc = np.zeros(man_part.ambient)
-        for p in pts:
-            acc += man_part.log(x.coords, p.coords)
+        for log in man_part.log(x.coords, data):   # one batched call, summed in data order
+            acc += log
         ly = man_part.log(c.coords, y.coords)
         coup = _log_differential_adjoint(man_part, c.coords, x.coords, ly)
         return -acc / len(pts) + beta * coup

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ..exceptions import (ConfigError, ContractViolation, RvikitError, SolverAbort,
-                          is_strictly, require)
+                          is_strictly, require, require_count)
 from ..geometry.constants import (
     GeometryBounds,
     rho_coefficient,
@@ -101,9 +101,7 @@ class SolverConfig:
         require(self.method in METHODS,
                 f"unknown method {self.method!r}; valid methods: {list(METHODS)}")
         for name in ("T", "record_every"):
-            value = getattr(self, name)
-            require(is_strictly(value, numbers.Integral) and value >= 1,
-                    f"{name} must be an integer >= 1, got {value!r}")
+            require_count(name, getattr(self, name))
         require(self.eta == "auto" or (is_strictly(self.eta, numbers.Real)
                                        and 0.0 < self.eta < math.inf),
                 f"eta must be 'auto' or a positive step size, got {self.eta!r}")
@@ -142,8 +140,8 @@ class IterateRecord:
         def fmt(v):
             if v is None:
                 return ""
-            if isinstance(v, float):
-                return repr(v)
+            if isinstance(v, float):       # np.float64 too: its repr names the type
+                return repr(float(v))
             return str(v)
 
         return [fmt(getattr(self, c)) for c in CSV_COLUMNS]

@@ -439,7 +439,16 @@ def test_cli_unknown_problem_parameter_is_config_error(tmp_path, capsys):
     ("hyperbolic_rmean_saddle", {"n_points": 1}, "n_points"),
     ("decoupled_saddle", {"manifold": "h2*h2", "center_offset": 50},
      "decoupled_saddle"),
-], ids=["zero-dim", "one-point", "offset-off-manifold"])
+    ("hyperbolic_rmean_saddle", {"d": 0}, "d must be"),
+    ("hyperbolic_rmean_saddle", {"d": 2.5}, "d must be"),
+    ("sphere_bilinear", {"dim_x": 0}, "dim_x"),
+    ("frechet_mean", {"n_points": 0}, "n_points"),
+    ("sphere_bilinear", {"certify_pairs": 0}, "certify_pairs"),
+    ("sphere_bilinear", {"certify_pairs": -5}, "certify_pairs"),
+    ("sphere_bilinear", {"max_shrinks": -1}, "max_shrinks"),
+], ids=["zero-dim", "one-point", "offset-off-manifold", "zero-hyperbolic-dim",
+        "fractional-hyperbolic-dim", "zero-sphere-dim", "no-frechet-data",
+        "no-certify-pairs", "negative-certify-pairs", "negative-max-shrinks"])
 def test_cli_bad_problem_parameter_value_is_config_error(tmp_path, capsys,
                                                          name, params, needle):
     mapping = _grid_mapping(tmp_path, methods=["REG"], seeds=[0], T=5)

@@ -29,6 +29,7 @@ from rvikit.manifolds import (
     minkowski,
     ops,
 )
+from rvikit.manifolds.base import checked_tangents
 
 ALL_MANIFOLDS = [
     Euclidean(3),
@@ -476,3 +477,116 @@ def test_manifold_equality_is_structural():
     assert Sphere(2) != Sphere(3)
     assert Product(Sphere(2), Euclidean(1)) == Product(Sphere(2), Euclidean(1))
     assert Sphere(2) != Hyperboloid(2)
+
+
+# ---------------------------------------------------------------------------
+# batch axis: one kernel serves a vector and a (k, ambient) batch
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _batch_rows(m, k=6):
+    """Stacked points x, y and tangents u, v at x; row 0 has y = x, row 1 has u = 0."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for i in range(k):
+        p = ops.random_point(m, rng)
+        q = p if i == 0 else ops.ball_point(p, rng, 1.0)
+        u = np.zeros(m.ambient) if i == 1 else ops.random_tangent(p, rng, 1.0).components
+        v = ops.random_tangent(p, rng, 1.0).components
+        rows.append((p.coords, q.coords, u, v))
+    x, y, u, v = (np.stack(a) for a in zip(*rows))
+    off = y + 1e-9 * rng.standard_normal(y.shape)     # slightly off the manifold
+    return x, y, u, v, off
+
+
+BATCH_KERNELS = {
+    "point_defect": lambda m, x, y, u, v, off: m.point_defect(off),
+    "project": lambda m, x, y, u, v, off: m.project(off),
+    "tangent_defect": lambda m, x, y, u, v, off: m.tangent_defect(x, u + 1e-9),
+    "project_tangent": lambda m, x, y, u, v, off: m.project_tangent(x, u + 1e-9),
+    "exp": lambda m, x, y, u, v, off: m.exp(x, u),
+    "log": lambda m, x, y, u, v, off: m.log(x, y),
+    "transport": lambda m, x, y, u, v, off: m.transport(x, y, v),
+    "inner": lambda m, x, y, u, v, off: m.inner(x, u, v),
+    "dist": lambda m, x, y, u, v, off: m.dist(x, y),
+    "norm": lambda m, x, y, u, v, off: m.norm(x, u),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
+def test_batch_equals_stacked_rows_bitwise(m, kernel):
+    call = BATCH_KERNELS[kernel]
+    arrays = _batch_rows(m)
+    batch = call(m, *arrays)
+    rows = [call(m, *(a[i] for a in arrays)) for i in range(len(arrays[0]))]
+    assert _bits(batch) == _bits(np.stack(rows))
+    if np.ndim(rows[0]) == 0:
+        assert all(type(r) is float for r in rows)
+
+
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
+def test_one_base_point_broadcasts_against_a_batch(m):
+    x, y = _batch_rows(m)[:2]
+    assert _bits(m.log(x[2], y)) == _bits(np.stack([m.log(x[2], row) for row in y]))
+
+
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
+def test_batch_random_tangent_draws_rows_in_order(m):
+    x = _batch_rows(m)[0]
+    batch = m.random_tangent(np.random.default_rng(5), x, 0.7)
+    rng = np.random.default_rng(5)
+    rows = [m.random_tangent(rng, row, 0.7) for row in x]
+    assert _bits(batch) == _bits(np.stack(rows))
+
+
+def test_batch_minkowski_and_product_slices():
+    h = Hyperboloid(2)
+    x, y = _batch_rows(h)[:2]
+    assert _bits(minkowski(x, y)) == _bits([minkowski(a, b) for a, b in zip(x, y)])
+    m = Product(Hyperboloid(2), Sphere(2))
+    z = _batch_rows(m)[0]
+    parts = m.split(z)
+    assert [p.shape for p in parts] == [(6, 3), (6, 3)]
+    assert _bits(m.join(parts)) == _bits(z)
+    assert _bits(parts[1][2]) == _bits(m.split(z[2])[1])
+
+
+def test_batch_guards_fire_on_any_row():
+    m = Sphere(2)
+    x, y, u = _batch_rows(m)[:3]
+    far = u.copy()
+    far[3] *= 3.5 / np.linalg.norm(far[3])
+    with pytest.raises(InjectivityError):
+        m.exp(x, far)
+    antipodal = y.copy()
+    antipodal[4] = -x[4]
+    with pytest.raises(InjectivityError):
+        m.log(x, antipodal)
+    spd = SPD(2)
+    pts = _batch_rows(spd)[0]
+    pts[2] = [1.0, 2.0, 2.0, 1.0]                    # symmetric, indefinite
+    with pytest.raises(ContractViolation, match="positive definite"):
+        spd.point_defect(pts)
+
+
+def test_batched_contract_applies_the_defect_policy_per_row():
+    m = Sphere(2)
+    x = np.tile([1.0, 0.0, 0.0], (3, 1))
+    v = np.array([[0.0, 0.5, 0.0], [3e-9, 0.5, 0.0], [0.0, 0.0, 0.2]])
+    out = checked_tangents(m, x, v)
+    assert _bits(out[[0, 2]]) == _bits(v[[0, 2]])          # accepted as-is
+    assert out[1, 0] == 0.0                                   # re-projected
+    for i in range(3):
+        assert _bits(out[i]) == _bits(Tangent(Point(m, x[i]), v[i]).components)
+    bad = v.copy()
+    bad[2, 0] = 2e-6
+    with pytest.raises(ContractViolation, match="2.000e-06"):
+        checked_tangents(m, x, bad)
+    bad[2, 0] = np.inf
+    with pytest.raises(ContractViolation, match="finite"):
+        checked_tangents(m, x, bad)

@@ -274,6 +274,17 @@ def test_write_sweep_csv_schema(tmp_path):
             float(line[2]), float(line[3])      # parse residual and bound
 
 
+def test_sweep_csv_writes_numpy_scalars_as_plain_floats(tmp_path):
+    row = {"probe_id": 0, "manifold": "S2", "residual": 0.25, "bound": 1e-17,
+           "valid_flag": 1}
+    write_sweep_csv(tmp_path / "plain.csv", [row])
+    write_sweep_csv(tmp_path / "numpy.csv",
+                    [{**row, "residual": np.float64(0.25), "bound": np.float64(1e-17)}])
+    text = (tmp_path / "numpy.csv").read_text()
+    assert text == (tmp_path / "plain.csv").read_text()
+    assert text.splitlines()[1] == "0,S2,0.25,1e-17,1"
+
+
 def test_summary_to_dict_handles_empty_sweep():
     m = Sphere(2)
     rng = np.random.default_rng(14)

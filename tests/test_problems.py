@@ -24,6 +24,7 @@ from rvikit.manifolds import (
     ops,
 )
 from rvikit.problems import (
+    AssumptionReport,
     SaddleObjective,
     VectorFieldProblem,
     check_assumptions,
@@ -331,6 +332,88 @@ def test_flagship_monotonicity_sweeps(maker, kwargs, n_pairs):
     assert report.n_pairs == n_pairs
     assert report.violations == 0
     assert report.min_monotone_inner >= -1e-8
+
+
+def _reference_report(prob, n_pairs, rng, radius=None):
+    """check_assumptions as a per-pair loop over the typed layer."""
+    m, center = prob.manifold, prob.solution
+    radius = 1.2 * prob.region_radius if radius is None else radius
+
+    def ball_point():
+        nv = 0.0
+        while nv < 1e-15:
+            v = m.project_tangent(center.coords, rng.standard_normal(m.ambient))
+            nv = m.norm(center.coords, v)
+        r = radius * rng.uniform() ** (1.0 / m.dim)
+        return ops.exp_map(center, Tangent(center, v * (r / nv)))
+
+    min_inner, violations, lip, gmax = math.inf, 0, 0.0, 0.0
+    for _ in range(n_pairs):
+        z, zp = ball_point(), ball_point()
+        fz, fzp = prob.field(z), prob.field(zp)
+        gmax = max(gmax, fz.norm(), fzp.norm())
+        d = ops.distance(z, zp)
+        if d < 1e-12:
+            continue
+        moved = ops.transport(zp, z, fzp)
+        inner = ops.inner(moved - fz, ops.log_map(z, zp))
+        min_inner = min(min_inner, inner)
+        violations += inner < -1e-8
+        lip = max(lip, (fz - moved).norm() / d)
+    return AssumptionReport(
+        problem=prob.name, n_pairs=n_pairs, radius=radius,
+        min_monotone_inner=(0.0 if math.isinf(min_inner) else min_inner),
+        violations=violations, lipschitz_estimate=lip, grad_norm_max=gmax)
+
+
+def _fields(report):
+    return {k: (type(v), repr(v)) for k, v in vars(report).items()}
+
+
+@pytest.mark.parametrize("maker,kwargs,radius", [
+    ("euclidean_bilinear", {"dim": 6}, None),
+    ("decoupled_saddle", {"manifold": "h2*h2"}, None),
+    ("frechet_mean", {"manifold": "spd2"}, None),
+    ("sphere_bilinear", {"certify_pairs": 20}, None),
+    ("decoupled_saddle", {"manifold": "s2*s2"}, 0.0),
+], ids=["e6", "h2*h2", "spd2", "sphere", "coincident-pairs"])
+def test_batched_certification_equals_per_pair_loop(maker, kwargs, radius):
+    prob = make_problem(maker, **kwargs)
+    got = check_assumptions(prob, n_pairs=40, rng=np.random.default_rng(3),
+                            radius=radius)
+    want = _reference_report(prob, 40, np.random.default_rng(3), radius)
+    assert _fields(got) == _fields(want)
+
+
+class _ZeroFirstNormal:
+    """A generator whose first normal draw is all zeros, then a seeded stream."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += 1
+        return np.zeros(size) if self.normals == 1 else self.rng.standard_normal(size)
+
+    def uniform(self):
+        return self.rng.uniform()
+
+
+def test_certification_redraws_a_zero_tangent_in_order():
+    prob = make_problem("decoupled_saddle", manifold="h2*h2")
+    stub = _ZeroFirstNormal(4)
+    got = check_assumptions(prob, n_pairs=5, rng=stub)
+    assert stub.normals == 2 * 5 + 1
+    want = _reference_report(prob, 5, _ZeroFirstNormal(4))
+    assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("n_pairs", [0, -5, 2.5])
+def test_certification_needs_at_least_one_pair(n_pairs):
+    prob = make_problem("euclidean_bilinear", dim=4)
+    with pytest.raises(ConfigError, match="n_pairs"):
+        check_assumptions(prob, n_pairs=n_pairs, rng=np.random.default_rng(0))
 
 
 def test_decoupled_lipschitz_estimate_bounded_by_distortion_rate():

@@ -23,6 +23,7 @@ from rvikit.manifolds import Euclidean, Point, Sphere, Tangent, ops
 from rvikit.problems import VectorFieldProblem, make_problem
 from rvikit.solvers import (
     CSV_COLUMNS,
+    IterateRecord,
     SolverConfig,
     auto_eta,
     initial_point,
@@ -531,3 +532,11 @@ def test_trace_summary_shape():
     assert s["final"]["t"] == 25
     assert s["total_violations"] == trace.total_violations()
     assert s["rho"] == pytest.approx(trace.rho)
+
+
+def test_record_row_writes_numpy_scalars_as_plain_floats():
+    values = {"dist": 0.5, "op_norm": 1e-300, "gap_avg": -0.1}
+    plain = IterateRecord(t=3, **values).to_row()
+    numpy = IterateRecord(t=3, **{k: np.float64(v) for k, v in values.items()}).to_row()
+    assert numpy == plain
+    assert plain[:3] == ["3", "0.5", "1e-300"]
