@@ -2,9 +2,10 @@
 
 Step sizes and descent certificates in this package come from a handful of
 triangle inequalities on manifolds with bounded curvature.  Each one is
-implemented as a probe that evaluates both sides on a random geodesic
-triangle; this script sweeps them on the three curved model spaces and
-shows the residuals staying on the correct side of zero.
+implemented as a probe that evaluates both sides on random geodesic
+triangles, given as coordinate arrays with one row per triangle; this
+script sweeps them on the three curved model spaces and shows the
+residuals staying on the correct side of zero.
 
 It also demonstrates the curvature-dependent scalars (zeta, sigma) that
 enter every step-size formula, including sigma's domain boundary on
@@ -19,7 +20,7 @@ from rvikit.geometry.probes import (
     CHECKS,
     cosine_law_upper_check,
     run_sweep,
-    sample_triangle,
+    sample_triangles,
 )
 from rvikit.manifolds import SPD, Hyperboloid, Sphere
 
@@ -54,12 +55,8 @@ print("  (worst residual per cell; residual >= 0 means the bound held)")
 
 section("probes are honest about their own preconditions")
 m = Sphere(2)
-rejected = 0
-rng = np.random.default_rng(7)
-for _ in range(500):
-    x, y, z, u = sample_triangle(m, rng, leg=1.2)   # big triangles on purpose
-    if not cosine_law_upper_check(x, y, z).valid:
-        rejected += 1
+x, y, z, _ = sample_triangles(m, np.random.default_rng(7), 500, leg=1.2)  # big on purpose
+rejected = int(np.count_nonzero(~cosine_law_upper_check(m, x, y, z).valid))
 print(f"  upper cosine law with 1.2-radius legs on the sphere: {rejected}/500 "
       f"triangles\n  rejected for crossing the conjugate scale "
       f"(rejected probes never count as passes)")

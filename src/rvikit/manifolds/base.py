@@ -17,15 +17,18 @@ place:
   - defect  < 1e-8       silently re-projected onto the manifold,
   - defect >= 1e-8       :class:`~rvikit.exceptions.ContractViolation`;
 
-  :func:`checked_tangents` is the same contract on a batch: the policy
-  applies row by row, and one row past 1e-8 refuses the batch;
+  a NaN defect (coordinates whose defect overflows) is refused too;
+  :func:`checked_points` and :func:`checked_tangents` are the same
+  contracts on a batch: the policy applies row by row, and one row past
+  1e-8 refuses the batch;
   a saddle's block gradients are checked once, as the field's output
   (:func:`rvikit.problems.saddle_to_field`);
 
 * the typed operations in :mod:`rvikit.manifolds.ops` (and tangent
   arithmetic here) check that bases and manifolds match;
-* :meth:`Manifold.norm` and :func:`rvikit.manifolds.ops.distance` check
-  that their results are finite (:func:`finite`).
+* :meth:`Manifold.norm` and :func:`checked_distances` (behind
+  :func:`rvikit.manifolds.ops.distance`) check that their results are
+  finite (:func:`finite`).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ REPROJECT_TOL = 1e-8
 BASE_MATCH_TOL = 1e-12
 
 
-def _as_vector(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=float).reshape(-1)
+def _finite_coords(coords) -> np.ndarray:
+    arr = np.asarray(coords, dtype=float)
     if not np.isfinite(arr).all():
         raise ContractViolation("coordinates must be finite")
     return arr
@@ -72,6 +75,11 @@ def _any(mask) -> bool:
     return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
 
 
+def _all(mask) -> bool:
+    """Whether ``mask`` holds on every row."""
+    return bool(mask.all()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
 def _pick(mask, a, b):
     """``a`` on the rows where ``mask`` holds and ``b`` on the others."""
     if getattr(mask, "ndim", 0):
@@ -88,11 +96,12 @@ def _replace_rows(mask, value, out: np.ndarray) -> np.ndarray:
 
 
 def _larger(a, b):
-    """Per-row ``max(a, b)``, with the builtin's tie and NaN behaviour."""
+    """Per-row ``max(a, b)``, with the builtin's ties; a NaN on either side
+    wins, so a part's overflowed defect cannot hide behind another's."""
     mask = b > a
     if getattr(mask, "ndim", 0):
-        return np.where(mask, b, a)
-    return b if mask else a
+        return np.where(mask | np.isnan(b), b, a)
+    return b if mask or b != b else a
 
 
 def _euclidean_norm(v: np.ndarray):
@@ -207,8 +216,10 @@ class Manifold(abc.ABC):
 
     def ball_point(self, rng: np.random.Generator, center: np.ndarray,
                    radius: float) -> np.ndarray:
-        """Exp of a uniform tangent-ball sample: a point near ``center``."""
-        return self.exp(center, self.random_tangent(rng, center, radius))
+        """Exp of uniform tangent-ball samples at the rows of ``center``; the
+        steps pass the :class:`Tangent` contract, the caller checks the points."""
+        return self.exp(center, checked_tangents(
+            self, center, self.random_tangent(rng, center, radius)))
 
     # -- identity -------------------------------------------------------
     def _signature(self) -> tuple:
@@ -228,27 +239,39 @@ class Manifold(abc.ABC):
 
 def _checked(manifold: Manifold, what: str, defect_of, project, *args) -> np.ndarray:
     """``args[-1]`` under the defect policy, row by row: each row is accepted
-    or re-projected, and one row past the re-projection bound refuses all."""
+    or re-projected, and one row past the re-projection bound refuses all.
+    Both comparisons are false for NaN, so a NaN defect refuses."""
     defect = defect_of(*args)
-    redo = defect > STRICT_TOL
-    if not _any(redo):
+    fine = defect <= STRICT_TOL
+    if _all(fine):
         return args[-1]
-    bad = defect >= REPROJECT_TOL
+    bad = np.logical_not(defect < REPROJECT_TOL)
     if _any(bad):
         worst = np.max(defect, where=bad, initial=REPROJECT_TOL)
         raise ContractViolation(
             f"{what} defect {worst:.3e} on {manifold!r} exceeds {REPROJECT_TOL:g}")
-    return _replace_rows(_col(redo), project(*args), args[-1])
+    return _replace_rows(_col(np.logical_not(fine)), project(*args), args[-1])
+
+
+def checked_points(manifold: Manifold, x) -> np.ndarray:
+    """Rows of ``x`` under the :class:`Point` contract: finite coordinates,
+    and the defect policy row by row."""
+    return _checked(manifold, "point", manifold.point_defect, manifold.project,
+                    _finite_coords(x))
+
+
+def checked_distances(manifold: Manifold, x: np.ndarray, y: np.ndarray):
+    """Geodesic distances between the rows of ``x`` and ``y``; one that
+    overflows breaks the finite-numbers contract."""
+    with np.errstate(over="ignore"):
+        return finite(manifold.dist(x, y), "distance")
 
 
 def checked_tangents(manifold: Manifold, x: np.ndarray, v) -> np.ndarray:
     """Rows of ``v`` under the :class:`Tangent` contract at the rows of ``x``:
     finite coordinates, and the defect policy row by row."""
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise ContractViolation("coordinates must be finite")
     return _checked(manifold, "tangent", manifold.tangent_defect,
-                    manifold.project_tangent, x, v)
+                    manifold.project_tangent, x, _finite_coords(v))
 
 
 @dataclass(frozen=True)
@@ -260,7 +283,8 @@ class Point:
 
     def __post_init__(self):
         m = self.manifold
-        coords = _checked(m, "point", m.point_defect, m.project, _as_vector(self.coords))
+        coords = _checked(m, "point", m.point_defect, m.project,
+                          _finite_coords(self.coords).reshape(-1))
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -284,7 +308,7 @@ class Tangent:
     def __post_init__(self):
         m = self.base.manifold
         comp = _checked(m, "tangent", m.tangent_defect, m.project_tangent,
-                        self.base.coords, _as_vector(self.components))
+                        self.base.coords, _finite_coords(self.components).reshape(-1))
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import AveragingError, ContractViolation
-from .base import Manifold, Point, Tangent, finite
+from .base import Manifold, Point, Tangent, checked_distances
 
 
 def _require_point(p: Point) -> None:
@@ -62,8 +62,7 @@ def inner(u: Tangent, v: Tangent) -> float:
 def distance(p: Point, q: Point) -> float:
     """Geodesic distance; one that overflows breaks the finite-numbers contract."""
     _require_same_manifold(p, q)
-    with np.errstate(over="ignore"):
-        return finite(p.manifold.dist(p.coords, q.coords), "distance")
+    return checked_distances(p.manifold, p.coords, q.coords)
 
 
 def random_point(m: Manifold, rng: np.random.Generator) -> Point:
@@ -76,7 +75,8 @@ def random_tangent(p: Point, rng: np.random.Generator, radius: float) -> Tangent
 
 def ball_point(center: Point, rng: np.random.Generator, radius: float) -> Point:
     """exp of a uniform tangent-ball sample around ``center``."""
-    return exp_map(center, random_tangent(center, rng, radius))
+    m = center.manifold
+    return Point(m, m.ball_point(rng, center.coords, radius))
 
 
 # ---------------------------------------------------------------------------

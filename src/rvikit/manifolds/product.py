@@ -80,7 +80,9 @@ class Product(Manifold):
         return sum(self._partwise("inner", x, u, v))
 
     def dist(self, x, y):
-        return _scalar(np.sqrt(sum(d ** 2 for d in self._partwise("dist", x, y))))
+        # d * d, not d ** 2: on a Python float ** calls libm pow, which can
+        # differ by an ulp from the batch's square
+        return _scalar(np.sqrt(sum(d * d for d in self._partwise("dist", x, y))))
 
     def random_point(self, rng):
         return self.join(p.random_point(rng) for p in self.parts)

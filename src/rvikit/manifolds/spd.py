@@ -48,7 +48,7 @@ class SPD(Manifold):
         return x.reshape(x.shape[:-1] + (self.n, self.n))
 
     def _vec(self, m: np.ndarray) -> np.ndarray:
-        return m.reshape(m.shape[:-2] + (-1,))
+        return m.reshape(m.shape[:-2] + (self.ambient,))
 
     # -- representation --------------------------------------------------
     def point_defect(self, x):

@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import ConfigError, ContractViolation, require_count
 from ..geometry.constants import GeometryBounds, derive_bounds
 from ..manifolds import ops
-from ..manifolds.base import Manifold, Point, Tangent, checked_tangents, finite
+from ..manifolds.base import Manifold, Point, Tangent, checked_distances, checked_tangents
 from ..manifolds.product import Product
 
 SOLUTION_TOL = 1e-8       # required ||field(solution)||
@@ -165,16 +165,14 @@ def check_assumptions(prob: VectorFieldProblem, n_pairs: int,
         radius = 1.2 * prob.region_radius
     m = prob.manifold
     center = np.broadcast_to(prob.solution.coords, (2 * n_pairs, m.ambient))
-    steps = checked_tangents(m, center, m.random_tangent(rng, center, radius))
     z, fz = np.empty(center.shape), np.empty(center.shape)
-    for i, coords in enumerate(m.exp(center, steps)):
+    for i, coords in enumerate(m.ball_point(rng, center, radius)):
         point = Point(m, coords)
         z[i], fz[i] = point.coords, prob.field(point).components
     grad_norms = m.norm(z, fz)
 
     z, zp, fz, fzp = z[0::2], z[1::2], fz[0::2], fz[1::2]
-    with np.errstate(over="ignore"):
-        d = finite(m.dist(z, zp), "distance")
+    d = checked_distances(m, z, zp)
     apart = d >= 1e-12
     z, zp, fz, fzp, d = z[apart], zp[apart], fz[apart], fzp[apart], d[apart]
     moved = checked_tangents(m, z, m.transport(zp, z, fzp))

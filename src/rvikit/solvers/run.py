@@ -34,7 +34,7 @@ from ..geometry.constants import (
     step_size_reg,
     step_size_rpeg,
 )
-from ..geometry.probes import RESIDUAL_TOL, holonomy_defect
+from ..geometry.probes import csv_cell, holonomy_defect
 from ..manifolds import ops
 from ..manifolds.base import Point
 from ..problems.core import VectorFieldProblem, duality_gap
@@ -137,14 +137,7 @@ class IterateRecord:
     violation_flags: int = 0
 
     def to_row(self) -> list:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):       # np.float64 too: its repr names the type
-                return repr(float(v))
-            return str(v)
-
-        return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+        return [csv_cell(getattr(self, c)) for c in CSV_COLUMNS]
 
 
 @dataclass
@@ -327,8 +320,8 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
 
                 u = step.probe          # None for methods with no probe loop
                 if config.holonomy_probes and u is not None and u.norm() > 1e-12:
-                    rep = holonomy_defect(z, step.z_tilde, z_new, u)
-                    if rep.valid and rep.residual < RESIDUAL_TOL:
+                    if holonomy_defect(z.manifold, z.coords, step.z_tilde.coords,
+                                       z_new.coords, u.components).violated:
                         viol["holonomy"] += 1
                         flags |= FLAG_HOLONOMY
 

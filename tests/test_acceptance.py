@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from rvikit.geometry import jacobi_ratio, sos_certificate_check
-from rvikit.geometry.probes import CHECKS, holonomy_defect, run_sweep, sample_triangle
+from rvikit.geometry.probes import CHECKS, holonomy_defect, run_sweep, sample_triangles
 from rvikit.harness import fit_rate, fit_rate_points, parse_mapping, run_experiment
 from rvikit.manifolds import SPD, Euclidean, Hyperboloid, Point, Product, Sphere, ops
 from rvikit.problems import equal_energy_start, make_problem
@@ -98,13 +98,11 @@ def test_criterion_03_holonomy_bound():
         worst = min(worst, s.worst_residual)
     worst_degenerate = 0.0
     for m in CURVED:
-        rng = np.random.default_rng(302)
-        for _ in range(30):
-            x, y, _, u = sample_triangle(m, rng)
-            for trio in [(x, y, y), (x, x, y), (x, y, x)]:
-                report = holonomy_defect(*trio, u)
-                defect = report.bound - report.residual
-                worst_degenerate = max(worst_degenerate, defect)
+        x, y, _, u = sample_triangles(m, np.random.default_rng(302), 30)
+        for trio in [(x, y, y), (x, x, y), (x, y, x)]:
+            report = holonomy_defect(m, *trio, u)
+            defect = report.bound - report.residual
+            worst_degenerate = max(worst_degenerate, *defect.tolist())
     ok = violations == 0 and worst >= -1e-9 and worst_degenerate < 1e-10
     _verdict(3, "holonomy defect bound (1e3 triangles per curved manifold)",
              ok, f"{violations} violations, worst residual {worst:.2e}, "

@@ -10,6 +10,7 @@ Oracles used here are deliberately implementation-independent:
   single sphere geodesic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from rvikit.manifolds import (
     minkowski,
     ops,
 )
-from rvikit.manifolds.base import checked_tangents
+from rvikit.manifolds.base import checked_points, checked_tangents
 
 ALL_MANIFOLDS = [
     Euclidean(3),
@@ -461,6 +462,21 @@ def test_nonfinite_coordinates_are_rejected():
         Point(Euclidean(2), [np.nan, 0.0])
 
 
+# finite coordinates whose Lorentz form overflows have a NaN defect; the
+# overflow warns before the refusal, hence the errstate
+@pytest.mark.parametrize("m,coords", [
+    (Hyperboloid(2), [1e200, 1e200, 0.0]),
+    (Product(Hyperboloid(2), Sphere(2)), [1e200, 1e200, 0.0, 2.0, 0.0, 0.0]),
+    (Product(Sphere(2), Hyperboloid(2)), [1.0, 0.0, 0.0, 1e200, 1e200, 0.0]),
+], ids=["H2", "H2xS2-hides-sphere-defect", "S2xH2-nan-second"])
+def test_nan_defect_is_refused(m, coords):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ContractViolation, match="defect nan"):
+            Point(m, coords)
+        with pytest.raises(ContractViolation, match="defect nan"):
+            checked_points(m, np.stack([m.anchor(), coords]))
+
+
 @pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
 def test_sampling_respects_radius(m):
     rng = np.random.default_rng(19)
@@ -517,11 +533,22 @@ BATCH_KERNELS = {
 }
 
 
+@functools.cache
+def _bitwise_rows(m):
+    """Read-only rows for the bitwise test.  A product gets a few thousand: a
+    one-row distance squared with libm's pow differed from the batch's
+    product by an ulp on about one row in 2500."""
+    arrays = _batch_rows(m, 3000 if isinstance(m, Product) else 6)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
 @pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
 def test_batch_equals_stacked_rows_bitwise(m, kernel):
     call = BATCH_KERNELS[kernel]
-    arrays = _batch_rows(m)
+    arrays = _bitwise_rows(m)
     batch = call(m, *arrays)
     rows = [call(m, *(a[i] for a in arrays)) for i in range(len(arrays[0]))]
     assert _bits(batch) == _bits(np.stack(rows))
@@ -542,6 +569,16 @@ def test_batch_random_tangent_draws_rows_in_order(m):
     rng = np.random.default_rng(5)
     rows = [m.random_tangent(rng, row, 0.7) for row in x]
     assert _bits(batch) == _bits(np.stack(rows))
+
+
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=_ids)
+def test_kernels_take_an_empty_batch(m):
+    e = np.empty((0, m.ambient))
+    for out in (m.log(e, e), m.exp(e, e), m.transport(e, e, e), m.project(e),
+                checked_points(m, e), checked_tangents(m, e, e)):
+        assert out.shape == (0, m.ambient)
+    for out in (m.dist(e, e), m.norm(e, e), m.inner(e, e, e), m.point_defect(e)):
+        assert out.shape == (0,)
 
 
 def test_batch_minkowski_and_product_slices():
