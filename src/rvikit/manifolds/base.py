@@ -21,8 +21,13 @@ place:
   :func:`checked_points` and :func:`checked_tangents` are the same
   contracts on a batch: the policy applies row by row, and one row past
   1e-8 refuses the batch;
-  a saddle's block gradients are checked once, as the field's output
+  a view of a checked value (the block slices of a product point) needs
+  no contract of its own, so a saddle's block gradients read the views of
+  the checked point and are checked once, as the field's output
   (:func:`rvikit.problems.saddle_to_field`);
+  the duality-gap ascent (:func:`rvikit.problems.duality_gap`) runs on
+  coordinates and checks each new value it makes: every tangent with
+  :func:`checked_tangents`, every point with :func:`checked_points`;
 
 * the typed operations in :mod:`rvikit.manifolds.ops` (and tangent
   arithmetic here) check that bases and manifolds match;
@@ -180,10 +185,10 @@ class Manifold(abc.ABC):
     def dist(self, x: np.ndarray, y: np.ndarray) -> float:
         """Geodesic distance."""
 
+    @np.errstate(over="ignore")
     def norm(self, x: np.ndarray, v: np.ndarray) -> float:
         """Riemannian norm; one that overflows breaks the finite-numbers contract."""
-        with np.errstate(over="ignore"):
-            return finite(np.sqrt(_larger(self.inner(x, v, v), 0.0)), "tangent norm")
+        return finite(np.sqrt(_larger(self.inner(x, v, v), 0.0)), "tangent norm")
 
     def anchor(self) -> np.ndarray:
         """A canonical base point (origin/identity/first axis)."""
@@ -260,11 +265,11 @@ def checked_points(manifold: Manifold, x) -> np.ndarray:
                     _finite_coords(x))
 
 
+@np.errstate(over="ignore")
 def checked_distances(manifold: Manifold, x: np.ndarray, y: np.ndarray):
     """Geodesic distances between the rows of ``x`` and ``y``; one that
     overflows breaks the finite-numbers contract."""
-    with np.errstate(over="ignore"):
-        return finite(manifold.dist(x, y), "distance")
+    return finite(manifold.dist(x, y), "distance")
 
 
 def checked_tangents(manifold: Manifold, x: np.ndarray, v) -> np.ndarray:

@@ -129,8 +129,8 @@ def euclidean_bilinear(dim: int = 24, matrix=None, region_radius: float = 1.0,
     obj = SaddleObjective(
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: float(x.coords @ A @ y.coords),
-        grad_x=lambda x, y: A @ y.coords,
-        grad_y=lambda x, y: A.T @ x.coords,
+        grad_x=lambda x, y: A @ y,
+        grad_y=lambda x, y: A.T @ x,
     )
 
     def exact_gap(z: Point, radius: float) -> float:
@@ -196,8 +196,8 @@ def decoupled_saddle(manifold="h2*h2", region_radius: float = 1.0,
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: 0.5 * (ops.distance(x, x_star) ** 2
                                   - ops.distance(y, y_star) ** 2),
-        grad_x=lambda x, y: -mx.log(x.coords, x_star.coords),
-        grad_y=lambda x, y: my.log(y.coords, y_star.coords),
+        grad_x=lambda x, y: -mx.log(x, x_star.coords),
+        grad_y=lambda x, y: my.log(y, y_star.coords),
     )
     L = max(1.0, zeta(man.curvature_lo, reach))
 
@@ -308,13 +308,13 @@ def sphere_bilinear(dim_x: int = 2, dim_y: int = 2, scale: float = 1.0,
                 + 0.5 * mu * (ops.distance(x, x_star) ** 2
                               - ops.distance(y, y_star) ** 2))
 
-    def grad_x(x: Point, y: Point) -> np.ndarray:
-        g = mx.project_tangent(x.coords, A @ y.coords)
-        return g - mu * mx.log(x.coords, x_star.coords)
+    def grad_x(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        g = mx.project_tangent(x, A @ y)
+        return g - mu * mx.log(x, x_star.coords)
 
-    def grad_y(x: Point, y: Point) -> np.ndarray:
-        g = my.project_tangent(y.coords, A.T @ x.coords)
-        return g + mu * my.log(y.coords, y_star.coords)
+    def grad_y(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        g = my.project_tangent(y, A.T @ x)
+        return g + mu * my.log(y, y_star.coords)
 
     obj = SaddleObjective(manifold_x=mx, manifold_y=my, value=value,
                           grad_x=grad_x, grad_y=grad_y)
@@ -396,18 +396,18 @@ def hyperbolic_rmean_saddle(d: int = 2, n_points: int = 5, spread: float = 0.6,
 
     data = np.stack([p.coords for p in pts])
 
-    def grad_x(x: Point, y: Point) -> np.ndarray:
+    def grad_x(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         acc = np.zeros(man_part.ambient)
-        for log in man_part.log(x.coords, data):   # one batched call, summed in data order
+        for log in man_part.log(x, data):   # one batched call, summed in data order
             acc += log
-        ly = man_part.log(c.coords, y.coords)
-        coup = _log_differential_adjoint(man_part, c.coords, x.coords, ly)
+        ly = man_part.log(c.coords, y)
+        coup = _log_differential_adjoint(man_part, c.coords, x, ly)
         return -acc / len(pts) + beta * coup
 
-    def grad_y(x: Point, y: Point) -> np.ndarray:
-        lx = man_part.log(c.coords, x.coords)
-        coup = _log_differential_adjoint(man_part, c.coords, y.coords, lx)
-        return beta * coup + alpha * man_part.log(y.coords, c.coords)
+    def grad_y(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        lx = man_part.log(c.coords, x)
+        coup = _log_differential_adjoint(man_part, c.coords, y, lx)
+        return beta * coup + alpha * man_part.log(y, c.coords)
 
     obj = SaddleObjective(manifold_x=man_part, manifold_y=man_part,
                           value=value, grad_x=grad_x, grad_y=grad_y)

@@ -19,7 +19,8 @@ import numpy as np
 from ..exceptions import ConfigError, ContractViolation, require_count
 from ..geometry.constants import GeometryBounds, derive_bounds
 from ..manifolds import ops
-from ..manifolds.base import Manifold, Point, Tangent, checked_distances, checked_tangents
+from ..manifolds.base import (Manifold, Point, Tangent, checked_distances, checked_points,
+                              checked_tangents)
 from ..manifolds.product import Product
 
 SOLUTION_TOL = 1e-8       # required ||field(solution)||
@@ -30,15 +31,18 @@ MONOTONE_TOL = -1e-8      # sampled monotonicity gaps below this count as violat
 class SaddleObjective:
     """A two-block min-max objective f(x, y): min over x, max over y.
 
-    ``grad_x``/``grad_y`` take the block points and return the coordinates
-    of the block gradient, tangent at x/y; the field checks them once.
+    ``value`` takes the block :class:`Point` s.  ``grad_x``/``grad_y`` take
+    the block coordinates, already checked and read-only, and return the
+    coordinates of the block gradient, tangent at x/y; their caller checks
+    the result once (the field as its :class:`Tangent`, the gap ascent with
+    :func:`checked_tangents`).
     """
 
     manifold_x: Manifold
     manifold_y: Manifold
     value: Callable[[Point, Point], float]
-    grad_x: Callable[[Point, Point], np.ndarray]
-    grad_y: Callable[[Point, Point], np.ndarray]
+    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def split_saddle(z: Point) -> tuple[Point, Point]:
@@ -60,13 +64,14 @@ def saddle_to_field(obj: SaddleObjective, *, name: str = "saddle",
     """Wrap a saddle objective as a variational-inequality problem.
 
     The field F(z) = (grad_x f, -grad_y f) lives on the product of the two
-    block manifolds, and each value is one checked :class:`Tangent`.
-    ``solution`` is the block pair (x*, y*).
+    block manifolds.  The block gradients read the views of the checked
+    ``z``, so each value makes one contract decision, as one checked
+    :class:`Tangent`.  ``solution`` is the block pair (x*, y*).
     """
     m = Product(obj.manifold_x, obj.manifold_y)
 
     def field(z: Point) -> Tangent:
-        x, y = split_saddle(z)
+        x, y = m.split(z.coords)
         return Tangent(z, m.join([obj.grad_x(x, y), -obj.grad_y(x, y)]))
 
     if solution is not None:
@@ -203,24 +208,31 @@ class GapEstimate:
     iterations: int
 
 
-def _clamp_to_ball(center: Point, z: Point, radius: float) -> Point:
-    w = ops.log_map(center, z)
-    nw = w.norm()
+def _clamp_to_ball(m: Manifold, center: np.ndarray, z: np.ndarray,
+                   radius: float) -> np.ndarray:
+    w = checked_tangents(m, center, m.log(center, z))
+    nw = m.norm(center, w)
     if nw <= radius:
         return z
-    return ops.exp_map(center, w * (radius / nw))
+    w = checked_tangents(m, center, w * (radius / nw))
+    return checked_points(m, m.exp(center, w))
 
 
-def _inner_opt(value_grad, start: Point, center: Point, radius: float,
-               step: float, max_steps: int, tol: float):
-    """Projected Riemannian ascent of a block objective over a geodesic ball."""
-    y = _clamp_to_ball(center, start, radius)
+def _inner_opt(m: Manifold, value_grad, start: np.ndarray, center: np.ndarray,
+               radius: float, step: float, max_steps: int, tol: float):
+    """Projected Riemannian ascent of a block objective over a geodesic ball.
+
+    Runs on coordinates: ``start`` and ``center`` are checked, and every new
+    tangent and point passes :func:`checked_tangents` / :func:`checked_points`.
+    """
+    y = _clamp_to_ball(m, center, start, radius)
     converged = False
     k = 0
     for k in range(1, max_steps + 1):
-        g = Tangent(y, value_grad(y) * step)
-        y_new = _clamp_to_ball(center, ops.exp_map(y, g), radius)
-        if ops.distance(y, y_new) < tol:
+        y.setflags(write=False)         # value_grad reads a checked block, as the field's
+        g = checked_tangents(m, y, value_grad(y) * step)
+        y_new = _clamp_to_ball(m, center, checked_points(m, m.exp(y, g)), radius)
+        if checked_distances(m, y, y_new) < tol:
             y = y_new
             converged = True
             break
@@ -246,11 +258,14 @@ def duality_gap(obj: SaddleObjective, z: Point, center: Point, radius: float,
     in_domain = (ops.distance(x, cx) <= radius + 1e-12
                  and ops.distance(y, cy) <= radius + 1e-12)
 
+    mx, my = x.manifold, y.manifold
     y_best, conv_y, it_y = _inner_opt(
-        lambda yy: obj.grad_y(x, yy), y, cy, radius, step, max_steps, tol)
+        my, lambda yy: obj.grad_y(x.coords, yy), y.coords, cy.coords,
+        radius, step, max_steps, tol)
     x_best, conv_x, it_x = _inner_opt(
-        lambda xx: -obj.grad_x(xx, y), x, cx, radius, step, max_steps, tol)
+        mx, lambda xx: -obj.grad_x(xx, y.coords), x.coords, cx.coords,
+        radius, step, max_steps, tol)
 
-    gap = obj.value(x, y_best) - obj.value(x_best, y)
+    gap = obj.value(x, Point(my, y_best)) - obj.value(Point(mx, x_best), y)
     return GapEstimate(value=float(gap), converged=conv_y and conv_x,
                        in_domain=in_domain, iterations=max(it_y, it_x))

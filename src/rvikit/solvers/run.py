@@ -12,7 +12,9 @@ Every record reuses the F(z_t) it already evaluated: ``op_norm`` is its
 norm and ``hamiltonian`` its squared norm.  A run either returns its
 trace or raises :class:`SolverAbort` carrying the same trace, marked
 aborted; both ways the trace holds the live violation counters and the
-run's own field-evaluation count.
+run's own field-evaluation count.  Inner-solver gap estimates that did not
+converge, or whose query lay outside the gap ball, are counted apart from
+the violations: they qualify the gap metric, not a guarantee.
 """
 
 from __future__ import annotations
@@ -159,6 +161,10 @@ class RunTrace:
     rho: Optional[float] = None
     bounds: Optional[GeometryBounds] = None
     field_evals: int = 0
+    # inner gap estimates whose ascent hit its step limit / whose query left
+    # the gap ball: diagnostics of the metric, not guarantee violations
+    gap_unconverged: int = 0
+    gap_out_of_domain: int = 0
 
     def total_violations(self) -> int:
         return sum(self.violations.values())
@@ -197,6 +203,8 @@ class RunTrace:
             "violations": dict(sorted(self.violations.items())),
             "total_violations": self.total_violations(),
             "field_evals": self.field_evals,
+            "gap_unconverged": self.gap_unconverged,
+            "gap_out_of_domain": self.gap_out_of_domain,
             "lyapunov_lambda": self.lyapunov_lambda,
             "rho": self.rho,
             "final": None if last is None else {
@@ -269,8 +277,11 @@ def run(prob: VectorFieldProblem, config: SolverConfig,
     def gap_at(point: Point) -> float:
         if prob.exact_gap is not None:
             return float(prob.exact_gap(point, gap_radius))
-        return duality_gap(prob.objective, point, sol, gap_radius,
-                           lipschitz=prob.lipschitz).value
+        est = duality_gap(prob.objective, point, sol, gap_radius,
+                          lipschitz=prob.lipschitz)
+        trace.gap_unconverged += not est.converged
+        trace.gap_out_of_domain += not est.in_domain
+        return est.value
 
     do_phi = "lyapunov" in instruments and sol is not None and method.lyapunov
     phi = ops.distance(z, sol) ** 2 if do_phi else None

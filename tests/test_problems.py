@@ -25,6 +25,7 @@ from rvikit.manifolds import (
 )
 from rvikit.problems import (
     AssumptionReport,
+    GapEstimate,
     SaddleObjective,
     VectorFieldProblem,
     check_assumptions,
@@ -44,8 +45,8 @@ def _scalar_bilinear():
     return SaddleObjective(
         manifold_x=mx, manifold_y=my,
         value=lambda x, y: float(x.coords[0] * y.coords[0]),
-        grad_x=lambda x, y: y.coords.copy(),
-        grad_y=lambda x, y: x.coords.copy())
+        grad_x=lambda x, y: y.copy(),
+        grad_y=lambda x, y: x.copy())
 
 
 def _euclidean_quadratic():
@@ -56,8 +57,8 @@ def _euclidean_quadratic():
         value=lambda x, y: float(0.5 * x.coords[0] ** 2
                                  - 0.5 * y.coords[0] ** 2
                                  + x.coords[0] * y.coords[0]),
-        grad_x=lambda x, y: x.coords + y.coords,
-        grad_y=lambda x, y: x.coords - y.coords)
+        grad_x=lambda x, y: x + y,
+        grad_y=lambda x, y: x - y)
 
 
 def _at(prob, x_val, y_val):
@@ -126,9 +127,9 @@ def test_split_join_saddle_roundtrip():
 # ---------------------------------------------------------------------------
 
 def _hamiltonian(obj, z):
-    x, y = split_saddle(z)
-    return (obj.manifold_x.norm(x.coords, obj.grad_x(x, y)) ** 2
-            + obj.manifold_y.norm(y.coords, obj.grad_y(x, y)) ** 2)
+    x, y = z.manifold.split(z.coords)
+    return (obj.manifold_x.norm(x, obj.grad_x(x, y)) ** 2
+            + obj.manifold_y.norm(y, obj.grad_y(x, y)) ** 2)
 
 
 def test_hamiltonian_hand_value():
@@ -163,9 +164,9 @@ def _sphere_saddle(normal_offset):
     m = Sphere(2)
     return SaddleObjective(
         manifold_x=m, manifold_y=m, value=lambda x, y: 0.0,
-        grad_x=lambda x, y: (m.project_tangent(x.coords, [0.3, -0.2, 0.5])
-                             + normal_offset * x.coords),
-        grad_y=lambda x, y: m.project_tangent(y.coords, [0.1, 0.4, -0.3]))
+        grad_x=lambda x, y: (m.project_tangent(x, [0.3, -0.2, 0.5])
+                             + normal_offset * x),
+        grad_y=lambda x, y: m.project_tangent(y, [0.1, 0.4, -0.3]))
 
 
 def test_field_value_is_the_one_contract_on_block_gradients():
@@ -177,9 +178,9 @@ def test_field_value_is_the_one_contract_on_block_gradients():
     prob = saddle_to_field(_sphere_saddle(1e-9))
     f = prob.field(z)
     assert prob.manifold.tangent_defect(z.coords, f.components) <= 1e-10
-    x, y = split_saddle(z)
+    x, y = prob.manifold.split(z.coords)
     want = prob.manifold.join([
-        Sphere(2).project_tangent(x.coords, prob.objective.grad_x(x, y)),
+        Sphere(2).project_tangent(x, prob.objective.grad_x(x, y)),
         -prob.objective.grad_y(x, y)])
     np.testing.assert_allclose(f.components, want, atol=1e-15)
 
@@ -213,8 +214,8 @@ def test_gradients_match_finite_differences(maker, kwargs):
         v = v * (1.0 / v.norm())
         fd_x = _directional_fd(lambda h: obj.value(ops.exp_map(x, u * h), y))
         fd_y = _directional_fd(lambda h: obj.value(x, ops.exp_map(y, v * h)))
-        got_x = ops.inner(Tangent(x, obj.grad_x(x, y)), u)
-        got_y = ops.inner(Tangent(y, obj.grad_y(x, y)), v)
+        got_x = ops.inner(Tangent(x, obj.grad_x(x.coords, y.coords)), u)
+        got_y = ops.inner(Tangent(y, obj.grad_y(x.coords, y.coords)), v)
         assert got_x == pytest.approx(fd_x, rel=1e-5, abs=1e-7)
         assert got_y == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
 
@@ -558,6 +559,111 @@ def test_gap_estimate_flags_out_of_domain_queries():
                       lipschitz=prob.lipschitz)
     assert not est.in_domain
     assert est.value >= -1e-6
+
+
+def _typed_clamp(center, z, radius):
+    w = ops.log_map(center, z)
+    nw = w.norm()
+    if nw <= radius:
+        return z
+    return ops.exp_map(center, w * (radius / nw))
+
+
+def _typed_ascent(value_grad, start, center, radius, step, max_steps, tol):
+    y = _typed_clamp(center, start, radius)
+    converged = False
+    k = 0
+    for k in range(1, max_steps + 1):
+        g = Tangent(y, value_grad(y) * step)
+        y_new = _typed_clamp(center, ops.exp_map(y, g), radius)
+        if ops.distance(y, y_new) < tol:
+            y = y_new
+            converged = True
+            break
+        y = y_new
+    return y, converged, k
+
+
+def _typed_gap(obj, z, center, radius, lipschitz, max_steps=10000, tol=1e-6):
+    """duality_gap as a projected ascent on typed Points through ``ops``."""
+    x, y = split_saddle(z)
+    cx, cy = split_saddle(center)
+    step = 1.0 / (10.0 * lipschitz)
+    in_domain = (ops.distance(x, cx) <= radius + 1e-12
+                 and ops.distance(y, cy) <= radius + 1e-12)
+    y_best, conv_y, it_y = _typed_ascent(
+        lambda yy: obj.grad_y(x.coords, yy.coords), y, cy, radius, step,
+        max_steps, tol)
+    x_best, conv_x, it_x = _typed_ascent(
+        lambda xx: -obj.grad_x(xx.coords, y.coords), x, cx, radius, step,
+        max_steps, tol)
+    gap = obj.value(x, y_best) - obj.value(x_best, y)
+    return GapEstimate(value=float(gap), converged=conv_y and conv_x,
+                       in_domain=in_domain, iterations=max(it_y, it_x))
+
+
+def _block_at(center, rng, dist):
+    u = ops.random_tangent(center, rng, 1.0)
+    return ops.exp_map(center, u * (dist / u.norm()))
+
+
+# (x, y) block distances from (x*, y*) in units of the gap radius
+_GAP_CASES = {"inside": ((0.6, 0.8), {}),
+              "start-outside": ((1.5, 0.5), {}),
+              "out-of-domain": ((1.6, 1.4), {}),
+              "max-steps-3": ((0.6, 0.8), {"max_steps": 3})}
+
+
+@pytest.mark.parametrize("case", list(_GAP_CASES))
+@pytest.mark.parametrize("maker,kwargs", [
+    ("sphere_bilinear", {}),
+    ("hyperbolic_rmean_saddle", {}),
+    ("decoupled_saddle", {"manifold": "s2*s2"}),
+    ("decoupled_saddle", {"manifold": "h2*h2"}),
+    ("decoupled_saddle", {"manifold": "spd3*spd3"}),
+    ("euclidean_bilinear", {"dim": 6}),
+])
+def test_gap_ascent_on_coordinates_equals_typed_ascent(maker, kwargs, case):
+    prob = make_problem(maker, **kwargs)
+    (dx, dy), extra = _GAP_CASES[case]
+    R = math.sqrt(2.0) * prob.region_radius / 2.0
+    x_star, y_star = split_saddle(prob.solution)
+    rng = np.random.default_rng(16)
+    x, y = _block_at(x_star, rng, dx * R), _block_at(y_star, rng, dy * R)
+    z = Point(prob.manifold, prob.manifold.join([x.coords, y.coords]))
+    got = duality_gap(prob.objective, z, prob.solution, R,
+                      lipschitz=prob.lipschitz, **extra)
+    want = _typed_gap(prob.objective, z, prob.solution, R, prob.lipschitz, **extra)
+    assert _fields(got) == _fields(want)
+    assert got.in_domain == (max(dx, dy) <= 1.0)
+    if case == "max-steps-3":
+        assert (got.converged, got.iterations) == (False, 3)
+
+
+def _linear_sphere_saddle(normal_offset):
+    """f(x, y) = a.x + b.y on S^2 x S^2, grad_x off its tangent space by ``normal_offset``."""
+    m = Sphere(2)
+    a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3])
+    return SaddleObjective(
+        manifold_x=m, manifold_y=m,
+        value=lambda x, y: float(a @ x.coords + b @ y.coords),
+        grad_x=lambda x, y: m.project_tangent(x, a) + normal_offset * x,
+        grad_y=lambda x, y: m.project_tangent(y, b))
+
+
+def test_gap_ascent_checks_every_step_scaled_gradient():
+    # step 1/(10 L) = 1: the step-scaled gradient keeps the offset's defect
+    m = Product(Sphere(2), Sphere(2))
+    center = Point(m, m.anchor())
+    z = ops.ball_point(center, np.random.default_rng(17), 0.3)
+    with pytest.raises(ContractViolation, match="tangent defect"):
+        duality_gap(_linear_sphere_saddle(1e-6), z, center, 0.5, lipschitz=0.1)
+
+    got = duality_gap(_linear_sphere_saddle(1e-9), z, center, 0.5, lipschitz=0.1)
+    want = _typed_gap(_linear_sphere_saddle(1e-9), z, center, 0.5, 0.1)
+    assert _fields(got) == _fields(want)
+    clean = duality_gap(_linear_sphere_saddle(0.0), z, center, 0.5, lipschitz=0.1)
+    assert got.value == pytest.approx(clean.value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ per-step inequalities their step sizes are supposed to certify.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from rvikit.geometry import (
     step_size_rpeg,
 )
 from rvikit.manifolds import Euclidean, Point, Sphere, Tangent, ops
-from rvikit.problems import VectorFieldProblem, make_problem
+from rvikit.problems import VectorFieldProblem, make_problem, split_saddle
 from rvikit.solvers import (
     CSV_COLUMNS,
     IterateRecord,
@@ -360,6 +361,33 @@ def test_gap_recording_on_saddle_problem():
         assert rec.hamiltonian == rec.op_norm ** 2
     # gaps shrink toward the saddle over the run
     assert trace.records[-1].gap_last < trace.records[0].gap_last
+
+
+def test_gap_estimate_flags_are_counted_apart_from_violations(monkeypatch):
+    run_mod = sys.modules["rvikit.solvers.run"]
+    real_gap, estimates = run_mod.duality_gap, []
+
+    def short_gap(*args, **kwargs):     # two ascent steps never converge
+        estimates.append(real_gap(*args, **kwargs, max_steps=2))
+        return estimates[-1]
+
+    monkeypatch.setattr(run_mod, "duality_gap", short_gap)
+    prob = make_problem("hyperbolic_rmean_saddle")
+    x_star, y_star = split_saddle(prob.solution)
+    u = ops.random_tangent(x_star, np.random.default_rng(18), 1.0)
+    x0 = ops.exp_map(x_star, u * (prob.region_radius / u.norm()))   # past the gap ball
+    z0 = Point(prob.manifold, prob.manifold.join([x0.coords, y_star.coords]))
+    trace = run(prob, SolverConfig(method="REG", T=4, gaps=True), z0=z0)
+
+    assert len(estimates) == 2 * len(trace.records)
+    assert trace.gap_unconverged == sum(not e.converged for e in estimates) > 0
+    assert trace.gap_out_of_domain == sum(not e.in_domain for e in estimates) > 0
+    s = trace.summary()
+    assert (s["gap_unconverged"], s["gap_out_of_domain"]) == (
+        trace.gap_unconverged, trace.gap_out_of_domain)
+    assert set(trace.violations) == {"norm_monotone", "lyapunov", "boundedness",
+                                     "holonomy"}
+    assert s["total_violations"] == 0
 
 
 def test_holonomy_probe_instrumentation():
